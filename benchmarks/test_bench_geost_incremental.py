@@ -37,6 +37,7 @@ from repro.core.placer import CPPlacer, PlacerConfig
 from repro.core.placement_model import PlacementModel
 from repro.cp.engine import Inconsistent
 from repro.cp.model import Model
+from repro.geost.incremental import KernelOptions
 from repro.geost.kernel import Geost
 from repro.geost.objects import GeostObject
 from repro.geost.shapes import ShapeTable
@@ -88,8 +89,10 @@ def _median_time(fn, repeats: int = 5) -> float:
 def test_incremental_repropagation_speedup(report, table1_instance, gates, latest):
     region, modules = table1_instance
 
-    pm_inc = PlacementModel(region, modules, incremental=True)
-    pm_whole = PlacementModel(region, modules, incremental=False)
+    pm_inc = PlacementModel(region, modules)
+    pm_whole = PlacementModel(
+        region, modules, kernel=KernelOptions(incremental=False)
+    )
 
     t_inc = _median_time(lambda: _repropagation_cycle(pm_inc))
     t_whole = _median_time(lambda: _repropagation_cycle(pm_whole))
@@ -130,7 +133,7 @@ def _reference_model(region, modules, bitboard: bool):
         y = m.int_var(0, region.height - 1, f"y{i}")
         s = m.int_var(min(sids), max(sids), f"s{i}")
         objects.append(GeostObject(i, [x, y], s, table))
-    geost = Geost(objects, regions, incremental=True, bitboard=bitboard)
+    geost = Geost(objects, regions, kernel=KernelOptions(bitboard=bitboard))
     m.post(geost)
     return m, geost, objects
 

@@ -25,12 +25,6 @@ from repro.core.backend.adapters import (
     PortfolioBackend,
     register_default_backends,
 )
-from repro.core.backend.worker import (
-    process_cache,
-    reset_process_caches,
-    solve_in_worker,
-    warm_process_cache,
-)
 
 __all__ = [
     "BackendCapabilities",
@@ -46,8 +40,4 @@ __all__ = [
     "LNSBackend",
     "PortfolioBackend",
     "register_default_backends",
-    "process_cache",
-    "reset_process_caches",
-    "solve_in_worker",
-    "warm_process_cache",
 ]

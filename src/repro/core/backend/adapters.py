@@ -88,10 +88,8 @@ class CPBackend(PlacementBackend):
             updates["cache"] = request.cache
         if tracer is not None:
             updates["tracer"] = tracer
-        if request.incremental is not None:
-            updates["incremental"] = request.incremental
-        if request.bitboard is not None:
-            updates["bitboard"] = request.bitboard
+        if request.kernel is not None:
+            updates["kernel"] = request.kernel
         if request.warm_start is not None:
             updates["warm_start"] = request.warm_start
         if updates:
@@ -127,10 +125,8 @@ class LNSBackend(PlacementBackend):
             updates["cache"] = request.cache
         if tracer is not None:
             updates["tracer"] = tracer
-        if request.incremental is not None:
-            updates["incremental"] = request.incremental
-        if request.bitboard is not None:
-            updates["bitboard"] = request.bitboard
+        if request.kernel is not None:
+            updates["kernel"] = request.kernel
         if request.warm_start is not None:
             updates["warm_start"] = request.warm_start
         if updates:
@@ -170,10 +166,8 @@ class PortfolioBackend(PlacementBackend):
             updates["profile"] = True
         if tracer is not None:
             updates["tracer"] = tracer
-        if request.incremental is not None:
-            updates["incremental"] = request.incremental
-        if request.bitboard is not None:
-            updates["bitboard"] = request.bitboard
+        if request.kernel is not None:
+            updates["kernel"] = request.kernel
         if updates:
             cfg = dc_replace(cfg, **updates)
         return PortfolioPlacer(cfg).place(request.region, list(request.modules))
@@ -245,10 +239,8 @@ class TemporalCPBackend(PlacementBackend):
             placer.seed = request.seed
         if request.time_limit is not None:
             placer.time_limit = request.time_limit
-        if request.incremental is not None:
-            placer.incremental = request.incremental
-        if request.bitboard is not None:
-            placer.bitboard = request.bitboard
+        if request.kernel is not None:
+            placer.kernel = request.kernel
         tasks = [
             TemporalTask(module, d) for module, d in zip(modules, durations)
         ]

@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 from repro.core.result import PlacementResult
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.region import PartialRegion
+from repro.geost.incremental import KernelOptions
 from repro.modules.module import Module
 from repro.obs import context as obs_context
 from repro.obs.profile import SolveProfile
@@ -77,12 +78,9 @@ class PlacementRequest:
     cache: Optional[AnchorMaskCache] = None
     #: event sink for ``backend.*`` (and engine-level) trace events
     tracer: Optional[Tracer] = None
-    #: incremental geost propagation override (None = backend default,
-    #: False = wholesale re-filtering — the differential oracle mode)
-    incremental: Optional[bool] = None
-    #: bitboard-first vectorized sweep override (None = backend default,
-    #: False = the per-shape scalar oracle path)
-    bitboard: Optional[bool] = None
+    #: geost oracle-rung override for the CP-based backends (None =
+    #: backend default)
+    kernel: Optional[KernelOptions] = None
     #: scheduling horizon in ticks for backends with ``schedules=True``
     #: (None = degenerate single-tick horizon: a purely spatial request)
     horizon: Optional[int] = None

@@ -30,6 +30,7 @@ from repro.core.placer import CPPlacer, PlacerConfig
 from repro.core.result import Placement, PlacementResult
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.region import NarrowedRegion, PartialRegion
+from repro.geost.incremental import KernelOptions
 from repro.modules.module import Module
 from repro.obs.profile import SolveProfile
 from repro.obs.trace import LNS_IMPROVED, LNS_NEIGHBORHOOD, Tracer
@@ -63,12 +64,9 @@ class LNSConfig:
     #: None = one private cache per ``place`` call (still warm across
     #: iterations).  Portfolio workers pass their per-process cache here.
     cache: Optional[AnchorMaskCache] = None
-    #: incremental geost propagation in every CP solve (initial, restart
-    #: rescue, and all subproblems); False = wholesale re-filtering
-    incremental: bool = True
-    #: bitboard-first vectorized sweep in every CP solve; False = the
-    #: per-shape scalar oracle path
-    bitboard: bool = True
+    #: geost oracle rung of every CP solve (initial, restart rescue, and
+    #: all subproblems)
+    kernel: KernelOptions = KernelOptions()
     #: name of a registered backend (usually ``"analytical"``) whose
     #: legalized placement replaces the CP-dive/greedy bootstrap as the
     #: initial incumbent (None = cold construction ladder)
@@ -127,8 +125,7 @@ class LNSPlacer:
             initial_cfg = cfg.initial or PlacerConfig(
                 time_limit=min(cfg.time_limit / 2, 5.0),
                 first_solution_only=True,
-                incremental=cfg.incremental,
-                bitboard=cfg.bitboard,
+                kernel=cfg.kernel,
             )
             if cfg.profile or tracer is not None:
                 initial_cfg = replace(
@@ -156,8 +153,7 @@ class LNSPlacer:
                 profile=cfg.profile,
                 tracer=tracer,
                 cache=self._cache,
-                incremental=cfg.incremental,
-                bitboard=cfg.bitboard,
+                kernel=cfg.kernel,
             )
             restarted = CPPlacer(restart_cfg).place(region, modules)
             self._absorb_profile(restarted)
@@ -315,8 +311,7 @@ class LNSPlacer:
         budget = min(cfg.sub_time_limit, max(0.1, deadline - time.monotonic()))
         sub_cfg = PlacerConfig(
             time_limit=budget, profile=cfg.profile, tracer=tracer,
-            cache=self._cache, incremental=cfg.incremental,
-            bitboard=cfg.bitboard,
+            cache=self._cache, kernel=cfg.kernel,
         )
         free_modules = [placements[i].module for i in free_idx]
         placer = CPPlacer(sub_cfg)

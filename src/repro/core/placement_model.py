@@ -24,6 +24,7 @@ from repro.cp.variable import IntVar
 from repro.core.objective import ObjectiveKind, build_objective
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.region import PartialRegion
+from repro.geost.incremental import KernelOptions
 from repro.geost.placement import PlacementKernel
 from repro.modules.module import Module
 from repro.obs.trace import CACHE_MASKS, Tracer
@@ -51,8 +52,7 @@ class PlacementModel:
         tracer: Optional[Tracer] = None,
         profile: bool = False,
         cache: Optional[AnchorMaskCache] = None,
-        incremental: bool = True,
-        bitboard: bool = True,
+        kernel: KernelOptions = KernelOptions(),
     ) -> None:
         if not modules:
             raise ValueError("nothing to place")
@@ -73,7 +73,7 @@ class PlacementModel:
 
         self.kernel = PlacementKernel(
             region, self.modules, self.xs, self.ys, self.ss, cache=cache,
-            incremental=incremental, bitboard=bitboard,
+            kernel=kernel,
         )
         #: anchor-mask cache increments of this construction (None = uncached)
         self.cache_stats = self.kernel.cache_stats

@@ -24,6 +24,7 @@ from repro.core.placement_model import PlacementModel
 from repro.core.result import Placement, PlacementResult
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.region import PartialRegion
+from repro.geost.incremental import KernelOptions
 from repro.modules.module import Module
 from repro.obs import context as obs_context
 from repro.obs.profile import SolveProfile
@@ -63,15 +64,10 @@ class PlacerConfig:
     #: anchor-mask cache shared across model constructions (None = compute
     #: masks fresh); the LNS driver and portfolio workers thread one in
     cache: Optional[AnchorMaskCache] = None
-    #: incremental geost propagation (dirty-object maintenance + cached
-    #: anchor counts); False re-filters every module per wake-up — the
-    #: wholesale oracle, bit-identical by construction, kept for the
-    #: differential harness
-    incremental: bool = True
-    #: bitboard-first vectorized sweep (batched per-shape mask reductions
-    #: + batched anchor counting); False keeps the per-shape scalar path
-    #: — the other rung of the differential oracle ladder
-    bitboard: bool = True
+    #: geost oracle rung: the defaults are incremental propagation with
+    #: the bitboard-first sweep; switching either off gives a
+    #: bit-identical oracle of the differential harness
+    kernel: KernelOptions = KernelOptions()
     #: name of a registered backend (usually ``"analytical"``) whose
     #: legalized placement becomes the initial incumbent: the objective is
     #: clamped to beat it before search starts, so the branch-and-bound
@@ -213,8 +209,7 @@ class CPPlacer:
                 tracer=cfg.tracer,
                 profile=profiling,
                 cache=cfg.cache,
-                incremental=cfg.incremental,
-                bitboard=cfg.bitboard,
+                kernel=cfg.kernel,
             )
             if max_extent is not None:
                 pm.objective_var.remove_above(max_extent)

@@ -23,8 +23,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.result import Placement, PlacementResult
+from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.io import region_from_dict, region_to_dict
 from repro.fabric.region import PartialRegion
+from repro.geost.incremental import KernelOptions
 from repro.modules.module import Module
 from repro.modules.spec import module_from_dict, module_to_dict
 from repro.obs.profile import SolveProfile
@@ -38,6 +40,11 @@ _PlacementTuple = Tuple[str, int, int, int]
 #: as a solver-internal object
 _WorkerResult = Tuple[int, Optional[int], List[_PlacementTuple], Optional[dict]]
 
+#: the process-resident anchor-mask cache of every member run in this
+#: process: a process that outlives one solve (the inline n_workers==1
+#: path) reuses the warmed entries on its next solve
+_resident_cache = AnchorMaskCache()
+
 
 def _worker(
     region_payload: dict,
@@ -46,23 +53,17 @@ def _worker(
     seed: int,
     profile: bool = False,
     backend: str = "lns",
-    incremental: bool = True,
-    bitboard: bool = True,
+    kernel: KernelOptions = KernelOptions(),
 ) -> _WorkerResult:
     """Solve one portfolio member; returns (seed, extent, placements, profile)."""
     # lazy import: the backend package imports this module for its adapter
     from repro.core.backend import PlacementRequest, create_backend
-    from repro.core.backend.worker import process_cache
 
     region = region_from_dict(region_payload)
     modules = [module_from_dict(p) for p in module_payloads]
-    # the process-resident anchor-mask cache, warmed once per (region,
-    # library): the initial solve and every LNS subproblem of this member
-    # run on hits only, and a worker process that outlives this call —
-    # the inline n_workers==1 path, or a long-lived pool — reuses the
-    # warmed entries on its next solve instead of re-deriving them
-    cache = process_cache("portfolio")
-    cache.warm(region, modules)
+    # warmed once per (region, library): the initial solve and every LNS
+    # subproblem of this member run on hits only
+    _resident_cache.warm(region, modules)
     result = create_backend(backend).place(
         PlacementRequest(
             region,
@@ -70,9 +71,8 @@ def _worker(
             seed=seed,
             time_limit=time_limit,
             profile=profile,
-            cache=cache,
-            incremental=incremental,
-            bitboard=bitboard,
+            cache=_resident_cache,
+            kernel=kernel,
         )
     )
     profile_payload = None
@@ -111,12 +111,8 @@ class PortfolioConfig:
     #: event sink for ``portfolio.result`` events (parent process only —
     #: tracers do not cross into workers)
     tracer: Optional[Tracer] = None
-    #: incremental geost propagation inside every member's CP solves;
-    #: False = wholesale re-filtering (the differential oracle mode)
-    incremental: bool = True
-    #: bitboard-first vectorized sweep inside every member's CP solves;
-    #: False = the per-shape scalar oracle path
-    bitboard: bool = True
+    #: geost oracle rung inside every member's CP solves
+    kernel: KernelOptions = KernelOptions()
 
 
 class PortfolioPlacer:
@@ -171,7 +167,7 @@ class PortfolioPlacer:
                 outcomes.append(
                     _worker(region_payload, module_payloads, cfg.time_limit,
                             cfg.base_seed, cfg.profile, member_names[0],
-                            cfg.incremental, cfg.bitboard)
+                            cfg.kernel)
                 )
             except Exception as exc:
                 record_crash(cfg.base_seed, exc)
@@ -186,8 +182,7 @@ class PortfolioPlacer:
                         cfg.base_seed + k,
                         cfg.profile,
                         member_names[k],
-                        cfg.incremental,
-                        cfg.bitboard,
+                        cfg.kernel,
                     ): cfg.base_seed + k
                     for k in range(cfg.n_workers)
                 }

@@ -47,9 +47,9 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -222,12 +222,6 @@ class RuntimeConfig:
     #: Python maximal-rectangles pass, so high-throughput serving loops
     #: (the sharded service) switch it off
     sample_timeline: bool = True
-    #: external admission solver hook: a callable ``(module, residual
-    #: region) -> Optional[(Placement, method)]`` tried *before* the
-    #: in-process chain — the sharded service's process-pool mode plugs
-    #: its worker dispatch in here.  Exceptions degrade gracefully to the
-    #: chain; None (the default) keeps the chain as the only path.
-    solver: Optional[Callable[[Module, PartialRegion], Optional[Tuple[Placement, str]]]] = None
 
     def effective_chain(self) -> Tuple[str, ...]:
         """The admission rungs as registered backend names."""
@@ -253,8 +247,6 @@ class RuntimeConfig:
                     f"backend {name!r} is not relocatable and cannot serve "
                     f"the runtime admission chain"
                 )
-        if self.solver is not None and not callable(self.solver):
-            raise ValueError("solver must be callable (or None)")
         if self.queue_capacity < 0:
             raise ValueError("queue_capacity must be >= 0")
         if self.max_queue_wait < 0:
@@ -331,49 +323,44 @@ class RuntimeStats:
             self.queued_admits += 1
 
     def __add__(self, other: "RuntimeStats") -> "RuntimeStats":
-        """Merge shard-local stats into one service-level record."""
-        rejected_by = dict(self.rejected_by_reason)
-        for key, n in other.rejected_by_reason.items():
-            rejected_by[key] = rejected_by.get(key, 0) + n
-        admits_by = dict(self.admits_by_method)
-        for key, n in other.admits_by_method.items():
-            admits_by[key] = admits_by.get(key, 0) + n
-        return RuntimeStats(
-            arrivals=self.arrivals + other.arrivals,
-            admitted=self.admitted + other.admitted,
-            rejected=self.rejected + other.rejected,
-            departures=self.departures + other.departures,
-            defrags=self.defrags + other.defrags,
-            defrag_moves=self.defrag_moves + other.defrag_moves,
-            defrag_planned_moves=(
-                self.defrag_planned_moves + other.defrag_planned_moves
-            ),
-            defrag_executed_moves=(
-                self.defrag_executed_moves + other.defrag_executed_moves
-            ),
-            defrag_aborted_moves=(
-                self.defrag_aborted_moves + other.defrag_aborted_moves
-            ),
-            defrag_time_s=self.defrag_time_s + other.defrag_time_s,
-            probe_errors=self.probe_errors + other.probe_errors,
-            queued_admits=self.queued_admits + other.queued_admits,
-            reservations_booked=(
-                self.reservations_booked + other.reservations_booked
-            ),
-            reservation_admits=(
-                self.reservation_admits + other.reservation_admits
-            ),
-            reservations_expired=(
-                self.reservations_expired + other.reservations_expired
-            ),
-            rejected_by_reason=rejected_by,
-            admits_by_method=admits_by,
-            total_latency_s=self.total_latency_s + other.total_latency_s,
-            max_latency_s=max(self.max_latency_s, other.max_latency_s),
-            peak_occupied_cells=(
-                self.peak_occupied_cells + other.peak_occupied_cells
-            ),
-        )
+        """Merge shard-local stats into one service-level record: every
+        counter adds (dict counters key by key) except ``max_latency_s``,
+        which takes the max."""
+        merged = {}
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if f.name == "max_latency_s":
+                merged[f.name] = max(a, b)
+            elif isinstance(a, dict):
+                merged[f.name] = {
+                    key: a.get(key, 0) + b.get(key, 0) for key in {**a, **b}
+                }
+            else:
+                merged[f.name] = a + b
+        return RuntimeStats(**merged)
+
+    def profile_meta(self) -> Dict[str, object]:
+        """The ``runtime.*`` entries of a :class:`SolveProfile` ``meta``."""
+        return {
+            "runtime.arrivals": self.arrivals,
+            "runtime.admitted": self.admitted,
+            "runtime.rejected": self.rejected,
+            "runtime.departures": self.departures,
+            "runtime.defrags": self.defrags,
+            "runtime.defrag_moves": self.defrag_moves,
+            "runtime.defrag_planned": self.defrag_planned_moves,
+            "runtime.defrag_executed": self.defrag_executed_moves,
+            "runtime.defrag_aborted": self.defrag_aborted_moves,
+            "runtime.defrag_time_s": round(self.defrag_time_s, 6),
+            "runtime.probe_errors": self.probe_errors,
+            "runtime.queued_admits": self.queued_admits,
+            "runtime.reservations_booked": self.reservations_booked,
+            "runtime.reservation_admits": self.reservation_admits,
+            "runtime.reservations_expired": self.reservations_expired,
+            "runtime.mean_latency_s": round(self.mean_latency_s, 6),
+            "runtime.max_latency_s": round(self.max_latency_s, 6),
+            "runtime.peak_occupied_cells": self.peak_occupied_cells,
+        }
 
 
 @dataclass
@@ -912,15 +899,6 @@ class RuntimePlacementManager:
         cfg = self.config
         if region is None:
             region = self.residual_region()
-        if cfg.solver is not None:
-            try:
-                solved = cfg.solver(module, region)
-                # None is the solver's definitive no-fit — don't re-run
-                # the same chain in-process on top of it
-                return solved if solved is not None else (None, "none")
-            except Exception as exc:  # graceful: fall back to the chain
-                self.stats.probe_errors += 1
-                outcome.errors.append(f"solver: {exc}")
         for name, backend in self._chain:
             try:
                 request = PlacementRequest(
@@ -1481,26 +1459,7 @@ class RuntimePlacementManager:
             cache_misses=cache["misses"],
             cache_narrowed=cache["narrowed"],
             cache_evictions=cache["evictions"],
-            meta={
-                "runtime.arrivals": s.arrivals,
-                "runtime.admitted": s.admitted,
-                "runtime.rejected": s.rejected,
-                "runtime.departures": s.departures,
-                "runtime.defrags": s.defrags,
-                "runtime.defrag_moves": s.defrag_moves,
-                "runtime.defrag_planned": s.defrag_planned_moves,
-                "runtime.defrag_executed": s.defrag_executed_moves,
-                "runtime.defrag_aborted": s.defrag_aborted_moves,
-                "runtime.defrag_time_s": round(s.defrag_time_s, 6),
-                "runtime.probe_errors": s.probe_errors,
-                "runtime.queued_admits": s.queued_admits,
-                "runtime.reservations_booked": s.reservations_booked,
-                "runtime.reservation_admits": s.reservation_admits,
-                "runtime.reservations_expired": s.reservations_expired,
-                "runtime.mean_latency_s": round(s.mean_latency_s, 6),
-                "runtime.max_latency_s": round(s.max_latency_s, 6),
-                "runtime.peak_occupied_cells": s.peak_occupied_cells,
-            },
+            meta=s.profile_meta(),
         )
         if shard is not None:
             profile.meta["shard"] = shard

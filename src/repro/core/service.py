@@ -23,15 +23,6 @@ single manager cannot express:
   or rejects it after every candidate declined
   (:meth:`RuntimePlacementManager.offer` /
   :meth:`~repro.core.runtime.RuntimePlacementManager.park`).
-* **Execution modes** — ``inline`` solves admissions in-process;
-  ``process`` dispatches them to a persistent worker pool through
-  :func:`repro.core.backend.worker.solve_in_worker`, with per-worker
-  process-resident :class:`~repro.fabric.cache.AnchorMaskCache`\\ s
-  (optionally warmed once and persisted via
-  :func:`~repro.core.backend.worker.warm_process_cache`).  The pool
-  plugs into each shard through the
-  :attr:`~repro.core.runtime.RuntimeConfig.solver` hook, so queueing,
-  deadlines, and defrag semantics stay in the one manager code path.
 
 With **one** shard the service delegates :meth:`submit` straight to the
 shard's own :meth:`~repro.core.runtime.RuntimePlacementManager.submit`,
@@ -47,13 +38,11 @@ shard name) via ``SolveProfile.__add__``.
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.backend.worker import solve_in_worker, warm_process_cache
 from repro.core.result import Placement
 from repro.core.runtime import (
     RequestOutcome,
@@ -64,10 +53,8 @@ from repro.core.runtime import (
 )
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.grid import FabricGrid
-from repro.fabric.io import region_to_dict
 from repro.fabric.region import PartialRegion
 from repro.modules.module import Module
-from repro.modules.spec import module_to_dict
 from repro.obs.profile import SolveProfile
 from repro.obs.trace import (
     SERVICE_DRAIN,
@@ -238,15 +225,6 @@ class ServiceConfig:
     #: one anchor-mask cache shared by all shards (structurally identical
     #: shards then share entries, the fingerprint keying makes it safe)
     share_cache: bool = True
-    #: "inline" solves admissions in-process; "process" dispatches each
-    #: admission to a persistent worker pool via ``solve_in_worker``
-    mode: str = "inline"
-    #: worker pool size for process mode (None = one per shard)
-    workers: Optional[int] = None
-    #: LRU capacity handed to per-worker caches in process mode (None =
-    #: unbounded; long-running services should bound this — see
-    #: :class:`~repro.fabric.cache.AnchorMaskCache`)
-    worker_cache_capacity: Optional[int] = None
     #: event sink for ``service.*`` events (shards inherit
     #: ``runtime.tracer`` for their ``runtime.*`` events)
     tracer: Optional[Tracer] = None
@@ -257,10 +235,6 @@ class ServiceConfig:
                 f"unknown router {self.router!r}; registered: "
                 f"{', '.join(available_routers())}"
             )
-        if self.mode not in ("inline", "process"):
-            raise ValueError(f"unknown service mode {self.mode!r}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 (or None)")
         self.runtime.validate()
 
 
@@ -314,22 +288,12 @@ class ShardedPlacementService:
             if cfg.share_cache
             else None
         )
-        self._pool: Optional[ProcessPoolExecutor] = None
-        if cfg.mode == "process":
-            self._pool = ProcessPoolExecutor(
-                max_workers=cfg.workers or len(regions)
+        self.shards: List[RuntimePlacementManager] = [
+            RuntimePlacementManager(
+                region, replace(cfg.runtime, cache=shared_cache)
             )
-        self.shards: List[RuntimePlacementManager] = []
-        for region in regions:
-            shard_cfg = replace(
-                cfg.runtime,
-                cache=shared_cache if cfg.share_cache else None,
-            )
-            if cfg.mode == "process":
-                shard_cfg.solver = self._make_worker_solver(
-                    region.name, shard_cfg
-                )
-            self.shards.append(RuntimePlacementManager(region, shard_cfg))
+            for region in regions
+        ]
         tracer = cfg.tracer
         self._tracer = (
             tracer if tracer is not None and tracer.enabled else None
@@ -447,24 +411,7 @@ class ShardedPlacementService:
                 "shards": self.n_shards,
                 "router": self.config.router,
                 "defragmenter": self.config.runtime.defragmenter,
-                "runtime.arrivals": s.arrivals,
-                "runtime.admitted": s.admitted,
-                "runtime.rejected": s.rejected,
-                "runtime.departures": s.departures,
-                "runtime.defrags": s.defrags,
-                "runtime.defrag_moves": s.defrag_moves,
-                "runtime.defrag_planned": s.defrag_planned_moves,
-                "runtime.defrag_executed": s.defrag_executed_moves,
-                "runtime.defrag_aborted": s.defrag_aborted_moves,
-                "runtime.defrag_time_s": round(s.defrag_time_s, 6),
-                "runtime.probe_errors": s.probe_errors,
-                "runtime.queued_admits": s.queued_admits,
-                "runtime.reservations_booked": s.reservations_booked,
-                "runtime.reservation_admits": s.reservation_admits,
-                "runtime.reservations_expired": s.reservations_expired,
-                "runtime.mean_latency_s": round(s.mean_latency_s, 6),
-                "runtime.max_latency_s": round(s.max_latency_s, 6),
-                "runtime.peak_occupied_cells": s.peak_occupied_cells,
+                **s.profile_meta(),
             },
         )
 
@@ -559,71 +506,18 @@ class ShardedPlacementService:
         )
 
     # ------------------------------------------------------------------
-    # Process mode
-    # ------------------------------------------------------------------
-    def warm(self, modules: Sequence[Module]) -> int:
-        """Warm the caches for a module library; returns masks computed.
-
-        Inline mode warms the in-process caches directly; process mode
-        dispatches one warm task per shard so the pool's resident caches
-        start hot before serving.
-        """
-        total = 0
-        if self._pool is None:
-            for shard in self.shards:
-                total += shard._cache.warm(shard.region, modules)
-            return total
-        payloads = [module_to_dict(m) for m in modules]
-        futures = [
-            self._pool.submit(
-                warm_process_cache,
-                shard.region.name,
-                region_to_dict(shard.region),
-                payloads,
-                self.config.worker_cache_capacity,
-            )
-            for shard in self.shards
-        ]
-        for fut in futures:
-            total += fut.result()
-        return total
-
-    def _make_worker_solver(
-        self, shard_name: str, shard_cfg: RuntimeConfig
-    ) -> Callable[[Module, PartialRegion], Optional[Tuple[Placement, str]]]:
-        chain = shard_cfg.effective_chain()
-        time_limit = shard_cfg.probe_time_limit
-        capacity = self.config.worker_cache_capacity
-
-        def solver(
-            module: Module, region: PartialRegion
-        ) -> Optional[Tuple[Placement, str]]:
-            fut = self._pool.submit(
-                solve_in_worker,
-                region_to_dict(region),
-                module_to_dict(module),
-                chain,
-                time_limit,
-                0,
-                shard_name,
-                capacity,
-            )
-            solved = fut.result()
-            if solved is None:
-                return None
-            shape_index, x, y, backend = solved
-            return Placement(module, shape_index, x, y), f"worker:{backend}"
-
-        return solver
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    def warm(self, modules: Sequence[Module]) -> int:
+        """Warm every shard's anchor-mask cache for a module library;
+        returns the number of mask lookups."""
+        return sum(
+            shard._cache.warm(shard.region, modules) for shard in self.shards
+        )
+
     def close(self) -> None:
-        """Shut down the worker pool (no-op in inline mode)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Release service resources (nothing is held; kept so callers
+        can use the service as a context manager)."""
 
     def __enter__(self) -> "ShardedPlacementService":
         return self

@@ -50,6 +50,7 @@ from repro.fabric.region import PartialRegion
 from repro.fabric.resource import ResourceType
 from repro.geost.boxes import Box, ShiftedBox
 from repro.geost.forbidden import ForbiddenRegion
+from repro.geost.incremental import KernelOptions
 from repro.geost.kernel import Geost
 from repro.geost.objects import GeostObject
 from repro.geost.placement import PlacementKernel
@@ -406,8 +407,7 @@ class TemporalCPPlacer:
         time_limit: Optional[float] = 30.0,
         seed: int = 0,
         cache: Optional[AnchorMaskCache] = None,
-        incremental: bool = True,
-        bitboard: bool = True,
+        kernel: KernelOptions = KernelOptions(),
     ) -> None:
         if horizon <= 0:
             raise ValueError("horizon must be positive")
@@ -415,8 +415,7 @@ class TemporalCPPlacer:
         self.time_limit = time_limit
         self.seed = seed
         self.cache = cache
-        self.incremental = incremental
-        self.bitboard = bitboard
+        self.kernel = kernel
 
     def place(
         self,
@@ -460,8 +459,7 @@ class TemporalCPPlacer:
                     ys,
                     ss,
                     cache=cache,
-                    incremental=self.incremental,
-                    bitboard=self.bitboard,
+                    kernel=self.kernel,
                     horizon=self.horizon,
                     durations=durations,
                     ts=ts,

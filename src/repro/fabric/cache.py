@@ -34,13 +34,6 @@ serving run.  For that consumer the cache takes an opt-in LRU
 observable, and the default stays unbounded so existing pins are
 bit-identical.
 
-Warmed entries can be persisted (:meth:`AnchorMaskCache.save` /
-:meth:`AnchorMaskCache.load`) so pools of worker processes — the sharded
-placement service, the portfolio — deserialize finished masks instead of
-re-deriving every cross-correlation per process.  The file is a pickle of
-plain numpy arrays and cache keys: a local, trusted artifact (same trust
-model as a ``.npy`` file), not an interchange format.
-
 The *incremental* consumer of this cache is the kernel itself: for an LNS
 sub-region (:class:`~repro.fabric.region.NarrowedRegion`) the kernel
 fetches the cached **base**-region masks and narrows them with the frozen
@@ -51,7 +44,6 @@ of recomputing every cross-correlation against the carved-up region.
 from __future__ import annotations
 
 import hashlib
-import pickle
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Tuple
 
@@ -122,7 +114,7 @@ class AnchorMaskCache:
         self._compat: "OrderedDict[RegionKey, Dict[ResourceType, np.ndarray]]" = (
             OrderedDict()
         )
-        #: derived-artifact memo (see :meth:`memo`); not persisted by save
+        #: derived-artifact memo (see :meth:`memo`)
         self._aux: "OrderedDict[Tuple, object]" = OrderedDict()
         #: anchor-mask lookups served from the cache
         self.hits = 0
@@ -267,59 +259,6 @@ class AnchorMaskCache:
             "evictions": self.evictions,
             "entries": len(self._masks),
         }
-
-    # ------------------------------------------------------------------
-    # Persistence (warmed entries shared across worker processes)
-    # ------------------------------------------------------------------
-    SAVE_VERSION = 1
-
-    def save(self, path: str) -> int:
-        """Persist the finished masks; returns the entry count.
-
-        The artifact is a pickle of cache keys and numpy arrays — a local,
-        trusted file (load only what this process, or a sibling worker of
-        the same service, wrote).  Counters are *not* persisted: a loaded
-        cache starts with fresh accounting.
-        """
-        payload = {
-            "version": self.SAVE_VERSION,
-            "masks": [
-                (key, sorted(sig), np.asarray(mask))
-                for (key, sig), mask in self._masks.items()
-            ],
-            "compat": [
-                (key, {kind: np.asarray(m) for kind, m in compat.items()})
-                for key, compat in self._compat.items()
-            ],
-        }
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        return len(self._masks)
-
-    @classmethod
-    def load(
-        cls, path: str, capacity: Optional[int] = None
-    ) -> "AnchorMaskCache":
-        """Rebuild a cache from :meth:`save` output (counters start at 0)."""
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        version = payload.get("version")
-        if version != cls.SAVE_VERSION:
-            raise ValueError(
-                f"unsupported cache file version {version!r} "
-                f"(expected {cls.SAVE_VERSION})"
-            )
-        cache = cls(capacity=capacity)
-        for key, compat in payload["compat"]:
-            cache._compat[key] = dict(compat)
-        for key, cells, mask in payload["masks"]:
-            mask = np.asarray(mask)
-            mask.setflags(write=False)
-            cache._store((key, frozenset(cells)), mask)
-        # a capacity smaller than the artifact truncates silently here;
-        # runtime accounting starts clean
-        cache.evictions = 0
-        return cache
 
     def __repr__(self) -> str:
         return (

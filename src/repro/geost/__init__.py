@@ -22,6 +22,7 @@ This package contains both layers:
 from repro.geost.boxes import Box, ShiftedBox
 from repro.geost.shapes import GeostShape, ShapeTable
 from repro.geost.objects import GeostObject
+from repro.geost.incremental import KernelOptions
 from repro.geost.kernel import Geost
 from repro.geost.placement import PlacementKernel, PlacedModule
 
@@ -32,6 +33,7 @@ __all__ = [
     "ShapeTable",
     "GeostObject",
     "Geost",
+    "KernelOptions",
     "PlacementKernel",
     "PlacedModule",
 ]

@@ -1,4 +1,9 @@
-"""Shared accounting for incremental geost propagation.
+"""Oracle switches and shared accounting for incremental geost propagation.
+
+:class:`KernelOptions` is the one value that selects a kernel's rung of
+the oracle ladder; it is threaded unchanged from the placer configs
+(``PlacerConfig``, ``LNSConfig``, ``PortfolioConfig``) and
+``PlacementRequest.kernel`` down to the kernels.
 
 Both geost kernels — the reference :class:`~repro.geost.kernel.Geost` and
 the production :class:`~repro.geost.placement.PlacementKernel` — maintain
@@ -32,6 +37,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict
+
+
+@dataclass(frozen=True)
+class KernelOptions:
+    """Which rung of the oracle ladder a geost kernel runs.
+
+    ``incremental=False`` re-filters every object on each wake-up (the
+    wholesale oracle); ``bitboard=False`` keeps the per-shape scalar
+    sweep.  The defaults are the production kernel.  Every combination
+    produces bit-identical search trees, which the differential suite
+    pins.  :class:`~repro.geost.placement.PlacementKernel` honours all
+    four combinations; the reference :class:`~repro.geost.kernel.Geost`
+    runs its vectorized sweep only on top of the incremental mode, so
+    there ``bitboard`` is ``bitboard and incremental``.
+    """
+
+    incremental: bool = True
+    bitboard: bool = True
 
 
 @dataclass

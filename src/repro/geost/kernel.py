@@ -16,7 +16,9 @@ small examples.  The production FPGA path with bitmap pruning is
 :class:`repro.geost.placement.PlacementKernel`; both enforce the same
 relation, which the test suite checks by comparing solution sets.
 
-Two propagation modes enforce that relation identically:
+Two propagation modes, selected by
+:class:`~repro.geost.incremental.KernelOptions`, enforce that relation
+identically:
 
 ``incremental=False`` (wholesale)
     Every wake-up re-derives every object's obstacle set and forbidden
@@ -71,7 +73,7 @@ from repro.geost.forbidden import (
     compulsory_boxes,
     forbidden_anchor_boxes,
 )
-from repro.geost.incremental import IncStats
+from repro.geost.incremental import IncStats, KernelOptions
 from repro.geost.objects import GeostObject
 from repro.geost.sweep import ShapeView, SweepStats, sweep_max, sweep_min
 from repro.obs.trace import (
@@ -98,8 +100,7 @@ class Geost(Propagator):
         self,
         objects: Sequence[GeostObject],
         regions: Sequence[ForbiddenRegion] = (),
-        incremental: bool = True,
-        bitboard: bool = True,
+        kernel: KernelOptions = KernelOptions(),
     ) -> None:
         super().__init__("geost")
         if not objects:
@@ -109,10 +110,10 @@ class Geost(Propagator):
             raise ValueError("geost objects must share one dimension")
         self.objects = list(objects)
         self.regions = list(regions)
-        self.incremental = incremental
+        self.incremental = kernel.incremental
         #: use the vectorized lattice sweep (meaningful only when
         #: ``incremental`` — the wholesale oracle stays purely scalar)
-        self.bitboard = bitboard and incremental
+        self.bitboard = kernel.bitboard and kernel.incremental
         self.inc_stats = IncStats()
         self.sweep_stats = SweepStats()
         # --- incremental state (unused in wholesale mode) ---

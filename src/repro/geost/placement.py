@@ -47,7 +47,7 @@ from repro.fabric.masks import (
     valid_anchor_mask,
 )
 from repro.fabric.region import NarrowedRegion, PartialRegion
-from repro.geost.incremental import IncStats
+from repro.geost.incremental import IncStats, KernelOptions
 from repro.modules.footprint import Footprint
 from repro.modules.module import Module
 from repro.obs.trace import GEOST_BITBOARD, GEOST_INCREMENTAL, KERNEL_IMPRINT
@@ -120,7 +120,8 @@ class _Item:
 class PlacementKernel(Propagator):
     """Global placement constraint over a heterogeneous partial region.
 
-    ``incremental=True`` (default) re-filters only the modules whose
+    ``kernel`` (:class:`~repro.geost.incremental.KernelOptions`) picks
+    the oracle rung.  ``incremental=True`` (default) re-filters only the modules whose
     variables changed since the last fixpoint (the dirty set fed by
     :meth:`on_event`) and serves :meth:`anchor_count` from a cache keyed on
     a :class:`~repro.cp.trail.Revision` stamp that mask-bank mutations and
@@ -168,8 +169,7 @@ class PlacementKernel(Propagator):
         ys: Sequence[IntVar],
         ss: Sequence[IntVar],
         cache: Optional[AnchorMaskCache] = None,
-        incremental: bool = True,
-        bitboard: bool = True,
+        kernel: KernelOptions = KernelOptions(),
         horizon: Optional[int] = None,
         durations: Optional[Sequence[int]] = None,
         ts: Optional[Sequence[IntVar]] = None,
@@ -200,8 +200,8 @@ class PlacementKernel(Propagator):
         #: time-axis extent (None — the purely spatial kernel)
         self.T = horizon
         self._hw = self.H * self.W
-        self.incremental = incremental
-        self.bitboard = bitboard
+        self.incremental = kernel.incremental
+        self.bitboard = kernel.bitboard
         self.inc_stats = IncStats()
         #: bumped on every mask-bank mutation and from its trail undo —
         #: keys the anchor-count cache

@@ -11,6 +11,7 @@ from repro.core.portfolio import PortfolioConfig, PortfolioPlacer, _worker
 from repro.fabric.devices import homogeneous_device, irregular_device
 from repro.fabric.io import region_to_dict
 from repro.fabric.region import PartialRegion
+from repro.geost.incremental import KernelOptions
 from repro.modules.footprint import Footprint
 from repro.modules.generator import GeneratorConfig, ModuleGenerator
 from repro.modules.module import Module
@@ -121,6 +122,26 @@ class TestPortfolio:
         ).place(region, modules)
         assert res.stats["crashed_members"] == {}
 
+    def test_portfolio_inline_reuses_the_process_cache(self, monkeypatch):
+        """The n_workers==1 path runs in-process: a second ``place`` over
+        the same region must be served from the resident cache, not
+        recompute every mask."""
+        from repro.fabric.cache import AnchorMaskCache
+
+        cache = AnchorMaskCache()
+        monkeypatch.setattr(portfolio_mod, "_resident_cache", cache)
+        region = PartialRegion.whole_device(irregular_device(40, 8, seed=5))
+        modules = ModuleGenerator(seed=5).generate_set(3)
+        placer = PortfolioPlacer(
+            PortfolioConfig(n_workers=1, time_limit=2.0, members=["greedy"])
+        )
+        placer.place(region, modules)
+        misses_after_first = cache.misses
+        assert misses_after_first > 0
+        placer.place(region, modules)
+        assert cache.misses == misses_after_first  # second run: all hits
+        assert cache.hits > 0
+
     def test_profile_merged_across_members(self):
         from repro.obs import RecordingTracer, SolveProfile
         from repro.obs.trace import PORTFOLIO_RESULT
@@ -156,18 +177,17 @@ class TestPortfolio:
 # ----------------------------------------------------------------------
 
 def _crashing_worker(region_payload, module_payloads, time_limit, seed,
-                     profile=False, backend="lns", incremental=True,
-                     bitboard=True):
+                     profile=False, backend="lns", kernel=KernelOptions()):
     raise RuntimeError(f"boom-{seed}")
 
 
 def _odd_seed_crashing_worker(region_payload, module_payloads, time_limit,
                               seed, profile=False, backend="lns",
-                              incremental=True, bitboard=True):
+                              kernel=KernelOptions()):
     if seed % 2 == 1:
         raise RuntimeError(f"boom-{seed}")
     return _worker(region_payload, module_payloads, time_limit, seed, profile,
-                   backend, incremental, bitboard)
+                   backend, kernel)
 
 
 needs_fork = pytest.mark.skipif(

@@ -7,13 +7,19 @@ workload of the experiment layer.
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import MISSING, fields
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.runtime import (
     RejectReason,
     RuntimeConfig,
     RuntimePlacementManager,
     RuntimeRequest,
+    RuntimeStats,
     generate_workload,
 )
 from repro.modules.generator import GeneratorConfig
@@ -343,6 +349,53 @@ class TestObservability:
         assert 0.0 < log.mean_utilization() <= 1.0
         # everything departed by drain time
         assert log.timeline[-1][1] == 0
+
+
+def _field_strategy(f):
+    if f.default_factory is not MISSING:  # the dict tallies
+        return st.dictionaries(
+            st.sampled_from(["no_fit", "queue_full", "cp", "greedy"]),
+            st.integers(1, 50),
+            max_size=3,
+        )
+    if isinstance(f.default, float):
+        # dyadic seconds: every sum is exact, so float addition is
+        # associative on these draws
+        return st.integers(0, 1 << 20).map(lambda n: n / 1024)
+    return st.integers(0, 1000)
+
+
+runtime_stats = st.builds(
+    RuntimeStats, **{f.name: _field_strategy(f) for f in fields(RuntimeStats)}
+)
+
+
+class TestStatsMerge:
+    """``RuntimeStats.__add__``: the service-level merge of shard stats."""
+
+    @given(runtime_stats)
+    def test_empty_stats_are_the_identity(self, a):
+        assert RuntimeStats() + a == a
+        assert a + RuntimeStats() == a
+
+    @given(runtime_stats, runtime_stats, runtime_stats)
+    def test_merge_is_associative(self, a, b, c):
+        assert (a + b) + c == a + (b + c)
+
+    @given(st.lists(runtime_stats, min_size=1, max_size=4))
+    def test_merge_equals_hand_summed_fields(self, parts):
+        merged = RuntimeStats()
+        for part in parts:
+            merged = merged + part
+        for f in fields(RuntimeStats):
+            values = [getattr(p, f.name) for p in parts]
+            if f.name == "max_latency_s":
+                expected = max(values)
+            elif isinstance(values[0], dict):
+                expected = dict(sum(map(Counter, values), Counter()))
+            else:
+                expected = sum(values)
+            assert getattr(merged, f.name) == expected, f.name
 
 
 class TestWorkloadGenerator:

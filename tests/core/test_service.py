@@ -1,4 +1,4 @@
-"""The sharded placement service: routing, spill, determinism, modes.
+"""The sharded placement service: routing, spill, determinism.
 
 The load-bearing guarantees:
 
@@ -9,9 +9,6 @@ The load-bearing guarantees:
   under affinity routing yields the same merged outcome multiset run to
   run (stable content-hash routing, greedy chain: no wall-clock budgets
   anywhere on the path).
-* **Modes agree** — the process-pool mode must admit/reject exactly like
-  inline mode on the same trace (the worker runs the same chain on the
-  same residual payloads).
 
 Scenario tests run greedy-only so every admission decision is forced.
 """
@@ -362,135 +359,27 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Execution modes
+# Lifecycle
 # ----------------------------------------------------------------------
-class TestProcessMode:
-    def test_process_mode_matches_inline_admissions(self):
-        trace = generate_workload(16, seed=7)
-        inline_svc = ShardedPlacementService(
-            ShardedPlacementService.split(default_fabric(40, 12), 2),
-            greedy_service_cfg(router="round-robin"),
-        )
-        inline_log = inline_svc.run(trace)
-        with ShardedPlacementService(
-            ShardedPlacementService.split(default_fabric(40, 12), 2),
-            greedy_service_cfg(router="round-robin", mode="process",
-                               workers=2),
-        ) as proc_svc:
-            proc_svc.warm([r.module for r in trace])
-            proc_log = proc_svc.run(trace)
-        # placements bit-identical; only the method label differs
-        # ("greedy" vs "worker:greedy")
-        def placements(log):
-            return sorted(
-                (o.placement.module.name, o.placement.shape_index,
-                 o.placement.x, o.placement.y)
-                for o in log.outcomes
-                if o.admitted
-            )
-
-        assert placements(proc_log) == placements(inline_log)
-        assert proc_log.stats.admitted == inline_log.stats.admitted
-        assert proc_log.stats.rejected == inline_log.stats.rejected
-        assert all(
-            m.startswith("worker:")
-            for m in proc_svc.stats.admits_by_method
-        )
-
-    def test_close_is_idempotent_and_inline_close_is_noop(self):
+class TestLifecycle:
+    def test_close_is_idempotent_noop(self):
         svc = ShardedPlacementService([region_w(4)], greedy_service_cfg())
         svc.close()
         svc.close()
+        assert svc.submit(req(rect("a", 2), 1)).admitted
 
-    def test_validate_rejects_bad_mode_and_workers(self):
-        with pytest.raises(ValueError, match="unknown service mode"):
-            ShardedPlacementService(
-                [region_w(4)], greedy_service_cfg(mode="threads")
-            )
-        with pytest.raises(ValueError, match="workers"):
-            ShardedPlacementService(
-                [region_w(4)], greedy_service_cfg(workers=0)
-            )
-
-
-# ----------------------------------------------------------------------
-# Process-resident workers (core.backend.worker)
-# ----------------------------------------------------------------------
-class TestWorkerHelpers:
-    @pytest.fixture(autouse=True)
-    def _fresh_caches(self):
-        from repro.core.backend import reset_process_caches
-
-        reset_process_caches()
-        yield
-        reset_process_caches()
-
-    def test_process_cache_is_named_and_persistent(self):
-        from repro.core.backend import process_cache
-
-        a = process_cache("shard-a")
-        assert process_cache("shard-a") is a  # same process, same cache
-        assert process_cache("shard-b") is not a
-
-    def test_solve_in_worker_round_trips_a_placement(self):
-        from repro.core.backend import process_cache, solve_in_worker
-        from repro.fabric.io import region_to_dict
-        from repro.modules.spec import module_to_dict
-
-        region = region_w(6, name="w")
-        module = rect("m", 2)
-        solved = solve_in_worker(
-            region_to_dict(region), module_to_dict(module),
-            chain=("greedy",), time_limit=0.1, cache_key="w",
+    def test_warm_fills_the_shared_cache_once(self):
+        svc = ShardedPlacementService(
+            [region_w(6, name="s0"), region_w(6, name="s1")],
+            greedy_service_cfg(),
         )
-        assert solved is not None
-        sid, x, y, backend = solved
-        assert backend == "greedy" and sid == 0
-        # the lookup went through the named process cache
-        assert process_cache("w").misses > 0
-        # definitive no-fit returns None, not an exception
-        assert solve_in_worker(
-            region_to_dict(region), module_to_dict(rect("big", 8)),
-            chain=("greedy",), time_limit=0.1, cache_key="w",
-        ) is None
-
-    def test_warm_save_load_round_trip(self, tmp_path):
-        from repro.core.backend import process_cache, warm_process_cache
-        from repro.fabric.io import region_to_dict
-        from repro.modules.spec import module_to_dict
-
-        region = region_w(8, name="w2")
         modules = [rect("a", 2), rect("b", 3)]
-        path = str(tmp_path / "warm.pkl")
-        n = warm_process_cache(
-            "w2", region_to_dict(region),
-            [module_to_dict(m) for m in modules], save_path=path,
-        )
-        assert n == 2
-        fresh = process_cache("other", load_path=path)
-        fresh.warm(region, modules)  # all hits: entries came from disk
-        assert fresh.misses == 0 and fresh.hits == 2
-
-    def test_portfolio_inline_reuses_the_process_cache(self):
-        """The portfolio's n_workers==1 path runs in-process: a second
-        ``place`` over the same region must be served from the resident
-        cache, not recompute every mask (the worker-reuse refactor)."""
-        from repro.core.backend import process_cache
-        from repro.core.portfolio import PortfolioConfig, PortfolioPlacer
-        from repro.modules.generator import ModuleGenerator
-
-        region = default_fabric(40, 8)
-        modules = ModuleGenerator(seed=5).generate_set(3)
-        placer = PortfolioPlacer(
-            PortfolioConfig(n_workers=1, time_limit=2.0, members=["greedy"])
-        )
-        placer.place(region, modules)
-        cache = process_cache("portfolio")
-        misses_after_first = cache.misses
-        assert misses_after_first > 0
-        placer.place(region, modules)
-        assert cache.misses == misses_after_first  # second run: all hits
-        assert cache.hits > 0
+        assert svc.warm(modules) == 4  # two shapes looked up per shard
+        # structurally identical shards share entries: the second shard's
+        # lookups are all hits
+        cache = svc.shards[0]._cache
+        assert svc.shards[1]._cache is cache
+        assert (cache.misses, cache.hits) == (2, 2)
 
 
 # ----------------------------------------------------------------------
@@ -533,6 +422,22 @@ class TestObservability:
         # merged record counts it once, not once per shard
         assert per_shard[0].cache_hits == per_shard[1].cache_hits
         assert merged.cache_hits == per_shard[0].cache_hits
+
+    def test_single_shard_runtime_meta_equals_its_manager(self):
+        svc = ShardedPlacementService(
+            [default_fabric(40, 8)], greedy_service_cfg()
+        )
+        svc.run(generate_workload(12, seed=2))
+
+        def runtime_meta(profile):
+            return {
+                k: v for k, v in profile.meta.items()
+                if k.startswith("runtime.")
+            }
+
+        shard_meta = runtime_meta(svc.shards[0].profile())
+        assert len(shard_meta) == 18
+        assert runtime_meta(svc.profile()) == shard_meta
 
     def test_shard_stats_merge_matches_service_stats(self):
         svc = ShardedPlacementService(

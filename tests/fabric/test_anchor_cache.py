@@ -262,66 +262,6 @@ class TestLRUCapacity:
         assert cache.delta((0, 0, 0))["misses"] == 2
 
 
-class TestPersistence:
-    """save()/load() round-trips warmed entries across processes."""
-
-    def test_round_trip_is_bit_identical_and_all_hits(self, tmp_path):
-        region = PartialRegion.whole_device(irregular_device(24, 8, seed=11))
-        modules = ModuleGenerator(seed=4).generate_set(3)
-        cache = AnchorMaskCache()
-        n = cache.warm(region, modules)
-        path = tmp_path / "masks.pkl"
-        assert cache.save(str(path)) == len(cache)
-
-        loaded = AnchorMaskCache.load(str(path))
-        assert len(loaded) == len(cache)
-        # counters start fresh in the loaded copy
-        assert loaded.stats() == {
-            "hits": 0, "misses": 0, "narrowed": 0, "evictions": 0,
-            "entries": len(cache),
-        }
-        loaded.warm(region, modules)  # every lookup served from disk state
-        assert loaded.misses == 0
-        assert loaded.hits == n
-        for fp in (s for m in modules for s in m.shapes):
-            assert np.array_equal(
-                loaded.anchor_mask(region, fp),
-                cache.anchor_mask(region, fp),
-            )
-
-    def test_loaded_masks_stay_write_protected(self, tmp_path):
-        region = PartialRegion.whole_device(irregular_device(16, 8, seed=12))
-        cache = AnchorMaskCache()
-        cache.anchor_mask(region, Footprint.rectangle(2, 2))
-        path = tmp_path / "masks.pkl"
-        cache.save(str(path))
-        loaded = AnchorMaskCache.load(str(path))
-        mask = loaded.anchor_mask(region, Footprint.rectangle(2, 2))
-        with pytest.raises(ValueError):
-            mask[0, 0] = False
-
-    def test_load_rejects_unknown_version(self, tmp_path):
-        import pickle
-
-        path = tmp_path / "bad.pkl"
-        path.write_bytes(
-            pickle.dumps({"version": 999, "masks": [], "compat": []})
-        )
-        with pytest.raises(ValueError, match="version"):
-            AnchorMaskCache.load(str(path))
-
-    def test_load_with_capacity_bounds_and_resets_evictions(self, tmp_path):
-        region = PartialRegion.whole_device(irregular_device(24, 8, seed=13))
-        cache = AnchorMaskCache()
-        for w in (2, 3, 4, 5):
-            cache.anchor_mask(region, Footprint.rectangle(w, 2))
-        path = tmp_path / "masks.pkl"
-        cache.save(str(path))
-        loaded = AnchorMaskCache.load(str(path), capacity=2)
-        assert len(loaded) == 2
-        assert loaded.evictions == 0  # accounting starts clean post-load
-
-
 class TestNarrowedRegion:
     def test_blocks_cells_and_keeps_lineage(self):
         region = PartialRegion.whole_device(irregular_device(16, 8, seed=1))

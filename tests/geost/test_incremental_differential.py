@@ -14,9 +14,11 @@ solution sets plus the search-tree counters (nodes, backtracks,
 solutions, max depth) and the engine failure count.  A subset repeats the
 check with the reference interval :class:`~repro.geost.kernel.Geost`
 (slower: heterogeneity as 1x1 typed regions), and the backend layer is
-exercised end-to-end through ``cp``, ``lns`` and ``portfolio`` (one
-in-process worker) with the ``incremental`` knob threaded through
-:class:`~repro.core.backend.protocol.PlacementRequest`.
+exercised end-to-end through ``cp``, ``temporal-cp``, ``lns`` and
+``portfolio`` (one in-process worker) on every rung of the oracle
+ladder, with the :class:`~repro.geost.incremental.KernelOptions` value
+threaded through :class:`~repro.core.backend.protocol.PlacementRequest`
+or the placer config.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ import pytest
 from repro.cp.engine import Inconsistent
 from repro.cp.model import Model
 from repro.cp.search import DepthFirstSearch
+from repro.geost.incremental import KernelOptions
 from repro.geost.kernel import Geost
 from repro.geost.objects import GeostObject
+from repro.geost.placement import PlacementKernel
 from repro.geost.shapes import ShapeTable
 
 from tests.support import (
@@ -45,7 +49,7 @@ def _kernel_run(region, modules, incremental):
     m = Model()
     try:
         kernel, xs, ys, ss = build_kernel(
-            m, region, modules, incremental=incremental
+            m, region, modules, kernel=KernelOptions(incremental=incremental)
         )
     except Inconsistent:
         return set(), ("root-infeasible",), None
@@ -86,7 +90,9 @@ def _geost_run(region, modules, incremental):
         objects.append(GeostObject(i, [x, y], s, table))
         dv.extend([x, y, s])
     try:
-        m.post(Geost(objects, regions, incremental=incremental))
+        m.post(
+            Geost(objects, regions, kernel=KernelOptions(incremental=incremental))
+        )
     except Inconsistent:
         return set(), ("root-infeasible",)
     search = DepthFirstSearch(m.engine, dv)
@@ -164,14 +170,45 @@ def test_reference_geost_bit_identical(seed):
 
 
 # ----------------------------------------------------------------------
-# Backend layer: the ``incremental`` request knob end-to-end
+# Backend layer: the ``KernelOptions`` value end-to-end
 # ----------------------------------------------------------------------
-def _backend_placements(name, region, modules, seed, **req_kwargs):
-    from repro.core.backend import PlacementRequest, create_backend
+#: every rung the backend layer threads through, production first
+_RUNGS = (
+    KernelOptions(),
+    KernelOptions(bitboard=False),
+    KernelOptions(incremental=False, bitboard=False),
+)
 
-    result = create_backend(name).place(
-        PlacementRequest(region, modules, seed=seed, **req_kwargs)
-    )
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """Every PlacementKernel built while the test runs, in build order."""
+    built = []
+    init = PlacementKernel.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(PlacementKernel, "__init__", recording_init)
+    return built
+
+
+def _ladder(kernels, solve):
+    """``solve(rung)`` on every rung; the scalar rungs must not have run a
+    single vectorized row scan in any kernel they built."""
+    runs = []
+    for rung in _RUNGS:
+        kernels.clear()
+        runs.append(solve(rung))
+        assert kernels, f"{rung}: no placement kernel was built"
+        if not rung.bitboard:
+            rows = sum(k.inc_stats.rows_tested for k in kernels)
+            assert rows == 0, f"{rung}: scalar run tested {rows} rows"
+    return runs
+
+
+def _placements(result):
     return (
         result.status,
         tuple(
@@ -181,62 +218,64 @@ def _backend_placements(name, region, modules, seed, **req_kwargs):
     )
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_cp_backend_differential(seed):
-    region, modules = random_small_instance(seed)
-    runs = {
-        incremental: _backend_placements(
-            "cp", region, modules, seed, time_limit=None,
-            incremental=incremental,
+def _backend_placements(name, region, modules, seed, **req_kwargs):
+    from repro.core.backend import PlacementRequest, create_backend
+
+    return _placements(
+        create_backend(name).place(
+            PlacementRequest(region, modules, seed=seed, **req_kwargs)
         )
-        for incremental in (True, False)
-    }
-    assert runs[True] == runs[False], f"seed={seed}"
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cp_backend_differential(seed, kernels):
+    region, modules = random_small_instance(seed)
+    for name in ("cp", "temporal-cp"):
+        runs = _ladder(
+            kernels,
+            lambda rung: _backend_placements(
+                name, region, modules, seed, time_limit=None, kernel=rung,
+            ),
+        )
+        assert runs[1:] == runs[:1] * 2, f"{name} seed={seed}"
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_lns_backend_differential(seed):
+def test_lns_backend_differential(seed, kernels):
     # generous wall clock + small stall limit: termination is decided by
     # the deterministic stall counter, never the clock, on these tiny
-    # instances — so both modes replay the same iteration sequence
+    # instances — so every rung replays the same iteration sequence
     from repro.core.lns import LNSConfig, LNSPlacer
 
     region, modules = random_small_instance(seed)
-    runs = {}
-    for incremental in (True, False):
-        cfg = LNSConfig(
-            time_limit=60.0, stall_limit=3, seed=seed,
-            incremental=incremental,
-        )
-        result = LNSPlacer(cfg).place(region, modules)
-        runs[incremental] = (
-            result.status,
-            tuple(
-                (p.module.name, p.shape_index, p.x, p.y)
-                for p in result.placements
-            ),
-        )
-    assert runs[True] == runs[False], f"seed={seed}"
+    runs = _ladder(
+        kernels,
+        lambda rung: _placements(
+            LNSPlacer(
+                LNSConfig(
+                    time_limit=60.0, stall_limit=3, seed=seed, kernel=rung,
+                )
+            ).place(region, modules)
+        ),
+    )
+    assert runs[1:] == runs[:1] * 2, f"seed={seed}"
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_portfolio_backend_differential(seed):
+def test_portfolio_backend_differential(seed, kernels):
     # n_workers=1 keeps the member in-process and deterministic
     from repro.core.portfolio import PortfolioConfig, PortfolioPlacer
 
     region, modules = random_small_instance(seed)
-    runs = {}
-    for incremental in (True, False):
-        cfg = PortfolioConfig(
-            n_workers=1, time_limit=60.0, base_seed=seed,
-            incremental=incremental,
-        )
-        result = PortfolioPlacer(cfg).place(region, modules)
-        runs[incremental] = (
-            result.status,
-            tuple(
-                (p.module.name, p.shape_index, p.x, p.y)
-                for p in result.placements
-            ),
-        )
-    assert runs[True] == runs[False], f"seed={seed}"
+    runs = _ladder(
+        kernels,
+        lambda rung: _placements(
+            PortfolioPlacer(
+                PortfolioConfig(
+                    n_workers=1, time_limit=60.0, base_seed=seed, kernel=rung,
+                )
+            ).place(region, modules)
+        ),
+    )
+    assert runs[1:] == runs[:1] * 2, f"seed={seed}"

@@ -21,6 +21,7 @@ from repro.cp.engine import Inconsistent
 from repro.cp.model import Model
 from repro.fabric.devices import irregular_device
 from repro.fabric.region import PartialRegion
+from repro.geost.incremental import KernelOptions
 from repro.geost.kernel import Geost
 from repro.geost.objects import GeostObject
 from repro.geost.shapes import ShapeTable
@@ -58,7 +59,7 @@ def _geost_model(region, modules, bitboard: bool):
         y = m.int_var(0, region.height - 1, f"y{i}")
         s = m.int_var(min(sids), max(sids), f"s{i}")
         objects.append(GeostObject(i, [x, y], s, table))
-    geost = Geost(objects, regions, incremental=True, bitboard=bitboard)
+    geost = Geost(objects, regions, kernel=KernelOptions(bitboard=bitboard))
     m.post(geost)
     return m, geost, objects
 

@@ -51,7 +51,7 @@ from repro.fabric.region import PartialRegion
 from repro.fabric.resource import ResourceType
 from repro.geost.boxes import Box, ShiftedBox
 from repro.geost.forbidden import ForbiddenRegion
-from repro.geost.incremental import IncStats
+from repro.geost.incremental import IncStats, KernelOptions
 from repro.geost.kernel import Geost
 from repro.geost.objects import GeostObject
 from repro.geost.placement import PlacementKernel
@@ -67,8 +67,7 @@ def build_kernel(
     m: Model,
     region: PartialRegion,
     modules: Sequence[Module],
-    incremental: bool = True,
-    bitboard: bool = True,
+    kernel: KernelOptions = KernelOptions(),
 ):
     """Post a PlacementKernel over fresh x/y/s variables; returns all four."""
     xs = [m.int_var(0, region.width - 1, f"x{i}") for i in range(len(modules))]
@@ -77,10 +76,9 @@ def build_kernel(
         m.int_var(0, mod.n_alternatives - 1, f"s{i}")
         for i, mod in enumerate(modules)
     ]
-    kernel = PlacementKernel(region, modules, xs, ys, ss,
-                             incremental=incremental, bitboard=bitboard)
-    m.post(kernel)
-    return kernel, xs, ys, ss
+    posted = PlacementKernel(region, modules, xs, ys, ss, kernel=kernel)
+    m.post(posted)
+    return posted, xs, ys, ss
 
 
 def kernel_solutions(
@@ -340,6 +338,10 @@ class OracleConfig:
     incremental: bool = True
     bitboard: bool = True
 
+    @property
+    def options(self) -> KernelOptions:
+        return KernelOptions(self.incremental, self.bitboard)
+
     def label(self) -> str:
         return (
             f"{self.kernel}"
@@ -394,8 +396,7 @@ def oracle_run(region, modules, config: OracleConfig) -> OracleRun:
         m = Model()
         try:
             kernel, xs, ys, ss = build_kernel(
-                m, region, modules,
-                incremental=config.incremental, bitboard=config.bitboard,
+                m, region, modules, kernel=config.options
             )
         except Inconsistent:
             return OracleRun(frozenset(), _ROOT_INFEASIBLE, None)
@@ -433,10 +434,7 @@ def oracle_run(region, modules, config: OracleConfig) -> OracleRun:
         sid_offsets.append(offset)
         offset += mod.n_alternatives
     try:
-        geost = Geost(
-            objects, regions,
-            incremental=config.incremental, bitboard=config.bitboard,
-        )
+        geost = Geost(objects, regions, kernel=config.options)
         m.post(geost)
     except Inconsistent:
         return OracleRun(frozenset(), _ROOT_INFEASIBLE, None)
@@ -476,10 +474,7 @@ def oracle_run_3d(instance, config: OracleConfig) -> OracleRun:
         dv.extend(origin)
         dv.append(s)
     try:
-        geost = Geost(
-            objects, regions,
-            incremental=config.incremental, bitboard=config.bitboard,
-        )
+        geost = Geost(objects, regions, kernel=config.options)
         m.post(geost)
     except Inconsistent:
         return OracleRun(frozenset(), _ROOT_INFEASIBLE, None)
