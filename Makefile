@@ -22,7 +22,8 @@ test-oracle:
 	  tests/geost/test_incremental_differential.py \
 	  tests/geost/test_cross_validation.py \
 	  tests/geost/test_bitboard_planes.py \
-	  tests/geost/test_sweep_monotonic.py
+	  tests/geost/test_sweep_monotonic.py \
+	  tests/fabric/test_anchor_cache.py
 
 ## pytest-benchmark suite (not part of tier-1)
 bench:

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.placer import CPPlacer, PlacerConfig
 from repro.core.result import Placement, PlacementResult
-from repro.fabric.region import PartialRegion
+from repro.fabric.region import NarrowedRegion, PartialRegion
 from repro.modules.module import Module
 
 
@@ -35,16 +35,14 @@ class IncrementalPlacer:
         return list(self._placements.values())
 
     def occupancy(self) -> np.ndarray:
-        mask = np.zeros((self.region.height, self.region.width), dtype=bool)
-        for p in self._placements.values():
-            for x, y, _ in p.absolute_cells():
-                mask[y, x] = True
-        return mask
+        return self.result().occupancy_mask()
 
-    def residual_region(self) -> PartialRegion:
+    def residual_region(self) -> NarrowedRegion:
         """The region with committed module cells masked off."""
-        free = self.region.reconfigurable & ~self.occupancy()
-        return PartialRegion(self.region.grid, free, f"{self.region.name}-residual")
+        return NarrowedRegion(
+            self.region, np.argwhere(self.occupancy()),
+            f"{self.region.name}-residual",
+        )
 
     # ------------------------------------------------------------------
     def add(self, module: Module) -> Optional[Placement]:

@@ -26,14 +26,14 @@ the paper's offline utilization result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.result import Placement, PlacementResult
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.masks import compatibility_masks, valid_anchor_mask
-from repro.fabric.region import PartialRegion
+from repro.fabric.region import NarrowedRegion
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,6 @@ class RelocationSite:
         return self.x, self.y
 
 
-def _free_mask_excluding(result: PlacementResult, who: Placement) -> np.ndarray:
-    """Region cells free if ``who`` were lifted off the fabric."""
-    occupied = result.occupancy_mask()
-    for x, y, _ in who.absolute_cells():
-        occupied[y, x] = False
-    return result.region.allowed_mask() & ~occupied
-
-
 def relocation_sites(
     result: PlacementResult,
     placement: Placement,
@@ -68,29 +60,25 @@ def relocation_sites(
     The module itself is lifted first (its own cells count as free), so
     the current position is always among the sites of its current shape.
 
-    ``cache`` routes the mask computation through a shared
-    :class:`~repro.fabric.cache.AnchorMaskCache`, keyed on the content
-    fingerprint of the lifted-module free mask — defrag passes probe the
-    same residual floorplan for every candidate module/shape, so the
-    per-region compatibility planes and repeated (region, footprint)
-    lookups are served from cache instead of re-derived per call.  The
-    cached and uncached paths are bit-identical (pinned by the
-    differential suite).
+    The probed region is a :class:`~repro.fabric.region.NarrowedRegion`:
+    the result's region minus every other module's cells.  With a shared
+    :class:`~repro.fabric.cache.AnchorMaskCache` (``cache``) each shape's
+    mask is therefore the cached mask of the *fabric* narrowed by those
+    cells — a defrag pass probes many floorplans, and none of them adds a
+    cache entry.  The cached and uncached paths are bit-identical (pinned
+    by the differential suite).
     """
-    region = result.region
-    free = _free_mask_excluding(result, placement)
-    sub_region = PartialRegion(region.grid, free & region.reconfigurable)
+    occupied = result.occupancy_mask()
+    for x, y, _ in placement.absolute_cells():
+        occupied[y, x] = False
+    sub_region = NarrowedRegion(result.region, np.argwhere(occupied))
     shapes = (
         list(enumerate(placement.module.shapes))
         if consider_alternatives
         else [(placement.shape_index, placement.footprint)]
     )
     if cache is not None:
-        region_key = cache.region_key(sub_region)
-        masks = [
-            (sid, cache.anchor_mask(sub_region, fp, region_key=region_key))
-            for sid, fp in shapes
-        ]
+        masks = [(sid, cache.anchor_mask(sub_region, fp)) for sid, fp in shapes]
     else:
         compat = compatibility_masks(sub_region)
         masks = [

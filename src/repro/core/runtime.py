@@ -66,7 +66,7 @@ from repro.core.defrag import (
 )
 from repro.core.result import Placement, PlacementResult
 from repro.fabric.cache import AnchorMaskCache
-from repro.fabric.region import PartialRegion
+from repro.fabric.region import NarrowedRegion, PartialRegion
 from repro.metrics.fragmentation import external_fragmentation
 from repro.metrics.utilization import region_utilization
 from repro.modules.generator import GeneratorConfig, ModuleGenerator
@@ -84,6 +84,13 @@ from repro.obs.trace import (
     RUNTIME_RESERVE,
     Tracer,
 )
+from repro.placer.greedy import BottomLeftPlacer
+
+
+def _yx(cells) -> Tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) index arrays of ``(x, y, ...)`` cell tuples."""
+    xy = np.array([c[:2] for c in cells], dtype=np.int64).reshape(-1, 2)
+    return xy[:, 1], xy[:, 0]
 
 
 # ----------------------------------------------------------------------
@@ -460,15 +467,17 @@ class RuntimePlacementManager:
         #: outstanding reservations, kept sorted by start tick
         self._reservations: List[Reservation] = []
         self._last_defrag_clock: Optional[int] = None
-        #: live occupancy, maintained incrementally on commit/depart/defrag
-        #: (rebuilding it per probe was a per-request Python loop over
-        #: every live cell — measurable at service throughput)
+        #: the shard's free-space planes, written only by :meth:`_mark`:
+        #: cells held by placed modules or an in-flight move window, and
+        #: per cell the number of outstanding reservations booking it
+        #: (bookings whose run windows do not overlap may share cells)
         self._occupancy = np.zeros(
             (region.height, region.width), dtype=bool
         )
-        #: monotone stamp of the plannable floorplan (live occupancy and
-        #: outstanding reservations); bumped on every mutation so the
-        #: fragmentation memo invalidates without grid comparisons
+        self._reserved = np.zeros((region.height, region.width), np.int32)
+        #: monotone stamp of the plannable floorplan, bumped by every
+        #: :meth:`_mark` so the fragmentation memo invalidates without
+        #: grid comparisons
         self._occupancy_rev = 0
         #: memoized fragmentation per view: "live"/"planning" -> (rev, value)
         self._frag_cache: Dict[str, Tuple[int, float]] = {}
@@ -519,60 +528,37 @@ class RuntimePlacementManager:
     def occupancy_mask(self) -> np.ndarray:
         return self._occupancy.copy()
 
-    def residual_region(self) -> PartialRegion:
-        free = self.region.reconfigurable & ~self._occupancy
-        if self._reservations:
-            # booked cells are promised to their reservations: admitting
-            # a new module onto them would force a replan at commit time
-            free = free & ~self._reserved_mask()
-        return PartialRegion(
-            self.region.grid, free, f"{self.region.name}-residual"
-        )
+    def residual_region(self) -> NarrowedRegion:
+        """The shard region minus every placed, in-flight and booked cell
+        (booked cells are promised to their reservations: admitting a new
+        module onto them would force a replan at commit time)."""
+        return self._residual(self._reserved)
 
-    def _reserved_mask(
-        self, exclude: Optional[Reservation] = None
-    ) -> np.ndarray:
-        """Cells promised to outstanding reservations (H, W bool)."""
-        mask = np.zeros_like(self._occupancy)
-        for r in self._reservations:
-            if r is exclude:
-                continue
-            for x, y, _ in r.placement.absolute_cells():
-                mask[y, x] = True
-        return mask
-
-    def _residual_excluding(self, reservation: Reservation) -> PartialRegion:
+    def _residual_excluding(self, reservation: Reservation) -> NarrowedRegion:
         """Residual region for replanning one reservation: its own booked
         cells are fair game, the other reservations' cells stay promised."""
-        free = self.region.reconfigurable & ~self._occupancy
-        if len(self._reservations) > 1:
-            free = free & ~self._reserved_mask(exclude=reservation)
-        return PartialRegion(
-            self.region.grid, free, f"{self.region.name}-residual"
+        reserved = self._reserved.copy()
+        reserved[_yx(reservation.placement.absolute_cells())] -= 1
+        return self._residual(reserved)
+
+    def _residual(self, reserved: np.ndarray) -> NarrowedRegion:
+        blocked = self._occupancy | (reserved > 0)
+        return NarrowedRegion(
+            self.region, np.argwhere(blocked), f"{self.region.name}-residual"
         )
 
-    # -- occupancy maintenance -----------------------------------------
-    @staticmethod
-    def _imprint_into(occ: np.ndarray, placement: Placement) -> None:
-        """Mark one placement's cells in an arbitrary occupancy array
-        (the reservation probe projects onto scratch floorplans)."""
-        cells = placement.absolute_cells()
-        xs = np.fromiter((c[0] for c in cells), dtype=np.int64, count=len(cells))
-        ys = np.fromiter((c[1] for c in cells), dtype=np.int64, count=len(cells))
-        occ[ys, xs] = True
-
-    def _imprint(self, placement: Placement, value: bool) -> None:
-        cells = placement.absolute_cells()
-        xs = np.fromiter((c[0] for c in cells), dtype=np.int64, count=len(cells))
-        ys = np.fromiter((c[1] for c in cells), dtype=np.int64, count=len(cells))
-        self._occupancy[ys, xs] = value
+    def _mark(
+        self, cells, occupied: Optional[bool] = None, reserved: int = 0
+    ) -> None:
+        """The one writer of the free-space planes: set ``cells`` ((x, y,
+        ...) tuples) occupied or free, and/or add ``reserved`` bookings
+        to them; bumps the floorplan revision."""
+        index = _yx(cells)
+        if occupied is not None:
+            self._occupancy[index] = occupied
+        if reserved:
+            self._reserved[index] += reserved
         self._occupancy_rev += 1
-
-    def _rebuild_occupancy(self) -> None:
-        self._occupancy[:] = False
-        self._occupancy_rev += 1
-        for p in self._placements.values():
-            self._imprint(p, True)
 
     def fragmentation(self) -> float:
         """External fragmentation of the live floorplan, memoized on the
@@ -926,7 +912,7 @@ class RuntimePlacementManager:
         queued: bool,
     ) -> None:
         self._placements[placement.module.name] = placement
-        self._imprint(placement, True)
+        self._mark(placement.absolute_cells(), occupied=True)
         heapq.heappush(
             self._departures,
             (self.clock + request.lifetime, placement.module.name),
@@ -981,11 +967,9 @@ class RuntimePlacementManager:
         ``reservation_horizon`` in time order; at each candidate tick it
         projects the floorplan forward (modules still resident then, an
         in-flight move window, sibling reservations whose run window
-        overlaps the request's) and gathers the request's static anchor
-        masks over that projection — the same vectorized check the
-        greedy baselines use.  The first tick with a feasible anchor
-        books a concrete planned placement at its bottom-left-most
-        anchor.
+        overlaps the request's) and runs the bottom-left greedy rung on
+        the shard region narrowed by that projection.  The first tick
+        with a fit books its placement.
         """
         cfg = self.config
         if len(self._reservations) >= cfg.reservation_capacity:
@@ -1015,54 +999,28 @@ class RuntimePlacementManager:
                 and due <= deadline
             }
         )
-        if not ticks:
-            return False
-        cache = self._cache
-        key = cache.region_key(self.region)
-        shapes = [
-            (
-                si,
-                cache.anchor_mask(self.region, fp, region_key=key),
-                np.array(
-                    [(dy, dx) for dx, dy, _ in sorted(fp.cells)],
-                    dtype=np.int64,
-                ),
-            )
-            for si, fp in enumerate(module.shapes)
-        ]
         for start in ticks:
             future = self._projected_occupancy(
                 start, request.lifetime, dep_of
             )
-            best: Optional[Tuple[int, int, int]] = None
-            for si, static, off in shapes:
-                ys, xs = np.nonzero(static)
-                if ys.size == 0:
-                    continue
-                cy = ys[:, None] + off[None, :, 0]
-                cx = xs[:, None] + off[None, :, 1]
-                free = ~future[cy, cx].any(axis=1)
-                if not free.any():
-                    continue
-                fy, fx = ys[free], xs[free]
-                i = np.lexsort((fy, fx))[0]  # bottom-left: min (x, y)
-                cand = (int(fx[i]), int(fy[i]), si)
-                if best is None or cand < best:
-                    best = cand
-            if best is None:
+            fit = BottomLeftPlacer().place(
+                NarrowedRegion(self.region, np.argwhere(future)),
+                [module],
+                cache=self._cache,
+            )
+            if not fit.placements:
                 continue
-            x, y, si = best
             reservation = Reservation(
                 request=request,
                 outcome=outcome,
-                placement=Placement(module, si, x, y),
+                placement=fit.placements[0],
                 start=start,
                 deadline=deadline,
                 booked_at=self.clock,
             )
             self._reservations.append(reservation)
             self._reservations.sort(key=lambda r: r.start)
-            self._occupancy_rev += 1  # booked cells change the planning view
+            self._mark(reservation.placement.absolute_cells(), reserved=1)
             outcome.status = "reserved"
             self.stats.reservations_booked += 1
             self._emit(
@@ -1081,19 +1039,21 @@ class RuntimePlacementManager:
         then (a module with no scheduled departure counts as resident
         forever), an in-flight move window, and sibling reservations
         whose run window overlaps ``[tick, tick + lifetime)``."""
-        occ = np.zeros_like(self._occupancy)
-        for name, placement in self._placements.items():
-            due = dep_of.get(name)
-            if due is None or due > tick:
-                self._imprint_into(occ, placement)
-        active = self._active_move
-        if active is not None:
-            for x, y in active.move.window_cells:
-                occ[y, x] = True
         end = tick + lifetime
-        for r in self._reservations:
-            if r.start < end and tick < r.start + r.request.lifetime:
-                self._imprint_into(occ, r.placement)
+        held = [
+            p
+            for name, p in self._placements.items()
+            if dep_of.get(name) is None or dep_of[name] > tick
+        ] + [
+            r.placement
+            for r in self._reservations
+            if r.start < end and tick < r.start + r.request.lifetime
+        ]
+        occ = np.zeros_like(self._occupancy)
+        for p in held:
+            occ[_yx(p.absolute_cells())] = True
+        if self._active_move is not None:
+            occ[_yx(self._active_move.move.window_cells)] = True
         return occ
 
     def _commit_due_reservations(self) -> None:
@@ -1104,11 +1064,9 @@ class RuntimePlacementManager:
             if r.start > self.clock:
                 break  # sorted by start
             if self._commit_reservation(r):
-                self._reservations.remove(r)
-                self._occupancy_rev += 1
+                self._release(r)
             elif r.deadline <= self.clock:
-                self._reservations.remove(r)
-                self._occupancy_rev += 1
+                self._release(r)
                 self.stats.reservations_expired += 1
                 self._emit(
                     RUNTIME_RESERVATION_EXPIRE,
@@ -1118,11 +1076,14 @@ class RuntimePlacementManager:
                 )
                 self._reject(r.outcome, RejectReason.RESERVATION_EXPIRED)
 
+    def _release(self, r: Reservation) -> None:
+        self._reservations.remove(r)
+        self._mark(r.placement.absolute_cells(), reserved=-1)
+
     def _commit_reservation(self, r: Reservation) -> bool:
         """One commit attempt; True when the request landed (either on
         its planned cells or replanned on the current floorplan)."""
-        cells = r.placement.absolute_cells()
-        if not any(self._occupancy[y, x] for x, y, _ in cells):
+        if not self._occupancy[_yx(r.placement.absolute_cells())].any():
             self._commit(
                 r.request, r.outcome, r.placement, "reservation", queued=False
             )
@@ -1259,10 +1220,13 @@ class RuntimePlacementManager:
                 extent_after=plan.final_extent,
             )
             if plan.instant:
+                for p in self._placements.values():
+                    self._mark(p.absolute_cells(), occupied=False)
                 self._placements = {
                     p.module.name: p for p in plan.result.placements
                 }
-                self._rebuild_occupancy()
+                for p in self._placements.values():
+                    self._mark(p.absolute_cells(), occupied=True)
                 self.stats.defrag_moves += len(plan.moves)
                 self.stats.defrag_executed_moves += len(plan.moves)
                 self._retry_pending()
@@ -1283,11 +1247,6 @@ class RuntimePlacementManager:
         """Logical ticks the move window lasts (at least one)."""
         per_tick = self.config.defrag_frames_per_tick
         return max(1, -(-move.frames // per_tick))
-
-    def _imprint_window(self, move: PlannedMove, value: bool) -> None:
-        for x, y in move.window_cells:
-            self._occupancy[y, x] = value
-        self._occupancy_rev += 1
 
     def _validate_move(self, move: PlannedMove) -> bool:
         """Is the planned move still executable right now?
@@ -1317,7 +1276,7 @@ class RuntimePlacementManager:
                 self._active_move = _ActiveMove(
                     move, ends=self.clock + self._move_duration(move)
                 )
-                self._imprint_window(move, True)
+                self._mark(move.window_cells, occupied=True)
                 self._emit(
                     RUNTIME_DEFRAG_STEP,
                     module=move.module,
@@ -1343,11 +1302,11 @@ class RuntimePlacementManager:
         active = self._active_move
         self._active_move = None
         move = active.move
-        self._imprint_window(move, False)
+        self._mark(move.window_cells, occupied=False)
         p = self._placements[move.module]
         new_p = Placement(p.module, move.to_shape, *move.to_pos)
         self._placements[move.module] = new_p
-        self._imprint(new_p, True)
+        self._mark(new_p.absolute_cells(), occupied=True)
         self.stats.defrag_moves += 1
         self.stats.defrag_executed_moves += 1
         self._emit(
@@ -1369,7 +1328,7 @@ class RuntimePlacementManager:
         active = self._active_move
         if active is not None and active.move.module == name:
             self._active_move = None
-            self._imprint_window(active.move, False)
+            self._mark(active.move.window_cells, occupied=False)
             self.stats.defrag_aborted_moves += 1
             self._emit(
                 RUNTIME_DEFRAG_STEP,
@@ -1381,15 +1340,16 @@ class RuntimePlacementManager:
             )
             self._start_next_move()
         else:
-            self._imprint(placement, False)
+            self._mark(placement.absolute_cells(), occupied=False)
 
     def check_invariants(self) -> None:
         """Verify the live floorplan, including any in-flight window.
 
         Raises ValueError on the first violation: an invalid placement
         (via :meth:`PlacementResult.verify`), a move window overlapping
-        a placed module or leaving the allowed region, or an occupancy
-        bitmap out of sync with the placement table + window.
+        a placed module or leaving the allowed region, an occupancy
+        bitmap out of sync with the placement table + window, or
+        reservation counts out of sync with the bookings.
         """
         result = self.result()
         result.verify()
@@ -1420,6 +1380,11 @@ class RuntimePlacementManager:
             raise ValueError(
                 "occupancy bitmap out of sync with placements + move window"
             )
+        booked = np.zeros_like(self._reserved)
+        for r in self._reservations:
+            booked[_yx(r.placement.absolute_cells())] += 1
+        if not np.array_equal(booked, self._reserved):
+            raise ValueError("reservation counts out of sync with bookings")
 
     def _check_moves(self) -> None:
         if self.config.verify_moves:

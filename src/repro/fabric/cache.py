@@ -4,11 +4,11 @@ The placement maths of Eqs. 2-3 is *static* per (region, footprint): a
 valid-anchor mask depends only on the fabric contents, the reconfigurable
 mask and the footprint's cell set.  Yet the hot paths rebuild placement
 models constantly — every LNS iteration constructs a fresh
-:class:`~repro.geost.placement.PlacementKernel`, and every portfolio
-member repeats the identical base-region computation in its own process.
-Dynamic-placement workloads are dominated by exactly this repeated
-free-space recomputation (cf. the defragmentation line of Fekete et al.),
-so this module memoizes it:
+:class:`~repro.geost.placement.PlacementKernel`, every runtime admission
+probes a residual region, every defrag move probes the fabric with one
+module lifted.  Dynamic-placement workloads are dominated by exactly this
+repeated free-space recomputation (cf. the defragmentation line of Fekete
+et al.), so this module memoizes it:
 
 * :class:`AnchorMaskCache` maps ``(region fingerprint, footprint
   signature)`` to the finished :func:`~repro.fabric.masks.valid_anchor_mask`
@@ -17,28 +17,20 @@ so this module memoizes it:
   a miss only pays the cross-correlation, never the per-resource setup.
 * :func:`region_fingerprint` / :func:`footprint_signature` define the keys:
   pure content hashes, so two structurally identical regions (e.g. the
-  same payload deserialized in two worker processes) share entries and the
-  region's *name* never matters.
+  same shard geometry cut at two offsets) share entries and the region's
+  *name* never matters.
 
-The cache is unbounded *by default*: an offline placement run works
-against a handful of fabrics and a module library whose footprints number
-in the hundreds, so the working set is small and eviction would only add
-a way to lose the hits this layer exists to provide.  Long-running shard
-workers are different — the runtime manager probes every arrival against
-the current *residual* region, whose fingerprint changes with every
-admission and departure, so entries accumulate without bound over a long
-serving run.  For that consumer the cache takes an opt-in LRU
-``capacity``; evictions are counted (``evictions``) and surface in the
+A residual — a base region minus blocked cells — is always a
+:class:`~repro.fabric.region.NarrowedRegion`, and the cache answers it
+from the *base* region's entry narrowed by the blocked cells
+(:func:`~repro.fabric.masks.narrowed_anchor_mask`) without storing the
+result.  Entries therefore number at most the distinct (base region,
+footprint) pairs a process sees: a shard fabric and its module library,
+however long a serving run lasts.  ``capacity`` still turns the stores
+into LRUs for processes that see unboundedly many base regions or
+footprints; evictions are counted (``evictions``) and surface in the
 ``cache.masks`` trace event and the
-:class:`~repro.obs.profile.SolveProfile` so memory pressure is
-observable, and the default stays unbounded so existing pins are
-bit-identical.
-
-The *incremental* consumer of this cache is the kernel itself: for an LNS
-sub-region (:class:`~repro.fabric.region.NarrowedRegion`) the kernel
-fetches the cached **base**-region masks and narrows them with the frozen
-modules' cells via its batched difference-of-coordinates update, instead
-of recomputing every cross-correlation against the carved-up region.
+:class:`~repro.obs.profile.SolveProfile`.  The default is unbounded.
 """
 
 from __future__ import annotations
@@ -49,8 +41,12 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.fabric.masks import compatibility_masks, valid_anchor_mask
-from repro.fabric.region import PartialRegion
+from repro.fabric.masks import (
+    compatibility_masks,
+    narrowed_anchor_mask,
+    valid_anchor_mask,
+)
+from repro.fabric.region import NarrowedRegion, PartialRegion
 from repro.fabric.resource import ResourceType
 
 if TYPE_CHECKING:  # avoid a fabric -> modules import at runtime
@@ -85,10 +81,10 @@ def footprint_signature(footprint: "Footprint") -> FootprintKey:
 class AnchorMaskCache:
     """Memoizes valid-anchor masks and compatibility masks per region.
 
-    One cache instance is intended per *process* (the portfolio creates one
-    per worker; the LNS driver one per ``place`` call unless handed a
-    shared instance).  Entries are stored write-protected and returned as
-    views — callers that mutate masks (the kernel's non-overlap narrowing)
+    One cache instance is intended per *process* (the sharded service
+    shares one across its shards; the LNS driver creates one per
+    ``place`` call unless handed a shared instance).  Entries are stored
+    write-protected and returned as views — callers that mutate masks (the kernel's non-overlap narrowing)
     copy them into their own bank first, which :func:`numpy.stack` already
     does.
 
@@ -98,10 +94,9 @@ class AnchorMaskCache:
 
     ``capacity`` (None = unbounded, the default) turns the mask store into
     an LRU: a hit refreshes the entry, an insert past capacity evicts the
-    least recently used mask.  The per-region compatibility masks are
-    bounded by the same capacity (they are the larger entries for a
-    runtime shard worker, one dict of per-resource planes per residual
-    fingerprint); both kinds of eviction count into ``evictions``.
+    least recently used mask.  The per-region compatibility masks (one
+    dict of per-resource planes per base region) are bounded by the same
+    capacity; both kinds of eviction count into ``evictions``.
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
@@ -120,8 +115,8 @@ class AnchorMaskCache:
         self.hits = 0
         #: anchor-mask lookups that had to run the cross-correlation
         self.misses = 0
-        #: mask rows derived incrementally from cached base-region masks
-        #: (maintained by the kernel via :meth:`note_narrowed`)
+        #: lookups answered by narrowing a base-region mask
+        #: (:class:`~repro.fabric.region.NarrowedRegion` regions)
         self.narrowed = 0
         #: entries dropped by the LRU bound (0 while unbounded)
         self.evictions = 0
@@ -157,9 +152,31 @@ class AnchorMaskCache:
     ) -> np.ndarray:
         """Cached ``valid_anchor_mask`` for one (region, footprint) pair.
 
+        A :class:`~repro.fabric.region.NarrowedRegion` is answered from
+        its base region's entry — counted as that entry's hit or miss —
+        narrowed by the blocked cells and counted once under
+        ``narrowed``; nothing is stored for the narrowed region itself.
+        ``region_key`` is a precomputed :meth:`region_key` of ``region``
+        (a narrowed lookup keys on its base and does not use it).
+
         Returns a read-only (H, W) boolean array; copy before mutating.
         """
+        if isinstance(region, NarrowedRegion):
+            base = self._base_mask(
+                region.base, footprint, self.region_key(region.base)
+            )
+            self.narrowed += 1
+            mask = narrowed_anchor_mask(
+                base, region.blocked_bits, footprint.cells
+            )
+            mask.setflags(write=False)
+            return mask
         key = region_key if region_key is not None else self.region_key(region)
+        return self._base_mask(region, footprint, key)
+
+    def _base_mask(
+        self, region: PartialRegion, footprint: "Footprint", key: RegionKey
+    ) -> np.ndarray:
         entry = (key, footprint_signature(footprint))
         mask = self._masks.get(entry)
         if mask is not None:
@@ -172,17 +189,12 @@ class AnchorMaskCache:
             region, sorted(footprint.cells), self.compat(region, key)
         )
         mask.setflags(write=False)
-        self._store(entry, mask)
-        return mask
-
-    def _store(
-        self, entry: Tuple[RegionKey, FootprintKey], mask: np.ndarray
-    ) -> None:
         self._masks[entry] = mask
         if self.capacity is not None:
             while len(self._masks) > self.capacity:
                 self._masks.popitem(last=False)
                 self.evictions += 1
+        return mask
 
     def memo(self, key: Tuple, build: "Callable[[], object]") -> object:
         """Cached derived artifact keyed by an arbitrary hashable tuple.
@@ -215,8 +227,9 @@ class AnchorMaskCache:
     def warm(self, region: PartialRegion, modules: Iterable) -> int:
         """Precompute every shape's mask for one region; returns the count.
 
-        Used by portfolio workers so all subsequent model constructions —
-        including the very first — run entirely on hits.
+        Warming a shard region with its module library makes every later
+        lookup on that region, and on every residual narrowed from it, a
+        hit — including the very first.
         """
         key = self.region_key(region)
         n = 0
@@ -229,10 +242,6 @@ class AnchorMaskCache:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def note_narrowed(self, rows: int) -> None:
-        """Record ``rows`` mask rows derived incrementally (not recomputed)."""
-        self.narrowed += rows
-
     def __len__(self) -> int:
         return len(self._masks)
 

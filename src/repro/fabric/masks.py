@@ -1,14 +1,23 @@
-"""Vectorized valid-anchor computation and cross-correlation machinery.
+"""Valid-anchor computation and cross-correlation machinery.
 
-This realizes constraints M_a and M_b of the paper (Eqs. 2-3) as array
+This realizes constraints M_a and M_b of the paper (Eqs. 2-3) as bit
 algebra: an anchor position ``(x, y)`` is valid for a footprint iff every
 footprint cell ``(dx, dy, k)`` lands on an available tile of resource type
-``k``.  The computation ANDs shifted per-resource compatibility masks — a
-boolean cross-correlation evaluated with NumPy views (no copies of the
-fabric are made; each cell contributes one slice-AND).
+``k``.  The computation ANDs shifted per-resource compatibility planes — a
+boolean cross-correlation.  Each plane is flattened row-major into one
+Python integer (:func:`~repro.fabric.region.pack_bits`, bit ``y * W +
+x``), so a 2-D shift by ``(dy, dx)`` is one big-int shift by
+``dy * W + dx`` and each footprint cell costs one shift-AND over the whole
+fabric.
 
 Footprint cells must be normalized so ``min dx == min dy == 0``; anchors
 are then the footprint's lower-left bounding-box corner.
+
+:func:`narrowed_anchor_mask` derives a footprint's mask on a base region
+minus a set of blocked cells from its mask on the base region with the
+dual shift-OR, the rule behind every
+:class:`~repro.fabric.region.NarrowedRegion` lookup of the anchor-mask
+cache.
 
 The module also hosts the shared sliding-window correlation kernels the
 geost bitboard sweep batches through:
@@ -35,7 +44,7 @@ from typing import Dict, Iterable, Sequence, Tuple, Union
 import numpy as np
 
 from repro.fabric.grid import FabricGrid
-from repro.fabric.region import PartialRegion
+from repro.fabric.region import PartialRegion, pack_bits
 from repro.fabric.resource import ResourceType
 
 #: (dx, dy, kind) relative cell of a footprint
@@ -77,22 +86,60 @@ def valid_anchor_mask(
         raise ValueError("footprint has no cells")
     if min(c[0] for c in cells) != 0 or min(c[1] for c in cells) != 0:
         raise ValueError("footprint cells must be normalized to origin 0,0")
+    if any(kind is ResourceType.UNAVAILABLE for _, _, kind in cells):
+        raise ValueError("footprint cells cannot require UNAVAILABLE")
     if compat is None:
         compat = compatibility_masks(region)
 
     H, W = region.height, region.width
-    valid = np.ones((H, W), dtype=bool)
+    # only anchors whose footprint stays inside the grid can be valid;
+    # restricting to them up front also means no shift below reads
+    # across a row edge for a surviving anchor, which keeps it exact
+    h = H - max(c[1] for c in cells)
+    w = W - max(c[0] for c in cells)
+    window = np.zeros((H, W), dtype=bool)
+    if h <= 0 or w <= 0:
+        return window
+    window[:h, :w] = True
+    bits = pack_bits(window)
+    planes: Dict[ResourceType, int] = {}
     for dx, dy, kind in cells:
-        if kind is ResourceType.UNAVAILABLE:
-            raise ValueError("footprint cells cannot require UNAVAILABLE")
-        source = compat[kind]
-        shifted = np.zeros((H, W), dtype=bool)
-        if dy < H and dx < W:
-            shifted[: H - dy, : W - dx] = source[dy:, dx:]
-        valid &= shifted
-        if not valid.any():
+        plane = planes.get(kind)
+        if plane is None:
+            plane = planes[kind] = pack_bits(compat[kind])
+        bits &= plane >> (dy * W + dx)
+        if not bits:
             break
-    return valid
+    return _unpack_bits(bits, H, W)
+
+
+def _unpack_bits(bits: int, H: int, W: int) -> np.ndarray:
+    """The (H, W) boolean plane of a :func:`pack_bits` integer."""
+    n = H * W
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:n].view(bool).reshape(H, W)
+
+
+def narrowed_anchor_mask(
+    base_mask: np.ndarray, blocked_bits: int, cells: Iterable[Cell]
+) -> np.ndarray:
+    """``base_mask`` minus every anchor whose footprint covers a blocked cell.
+
+    ``base_mask`` is the footprint's :func:`valid_anchor_mask` on a base
+    region, ``blocked_bits`` the packed blocked plane.  The collide map is
+    the OR-dual of the shift-AND in :func:`valid_anchor_mask`: one shift
+    per footprint cell however many cells are blocked.  The bits a shift
+    smears across a row edge land only on anchors whose footprint leaves
+    the grid there — anchors ``base_mask`` already marks invalid — so the
+    narrowing is exact.
+    """
+    if not blocked_bits:
+        return base_mask
+    H, W = base_mask.shape
+    hits = 0
+    for dx, dy, _ in cells:
+        hits |= blocked_bits >> (dy * W + dx)
+    return base_mask & ~_unpack_bits(hits, H, W)
 
 
 def count_anchors(valid: np.ndarray, col: np.ndarray, row: np.ndarray) -> int:

@@ -23,6 +23,15 @@ from repro.fabric.grid import FabricGrid
 from repro.fabric.resource import ResourceType
 
 
+def pack_bits(plane: np.ndarray) -> int:
+    """A boolean (H, W) plane flattened row-major into one integer: bit
+    ``y * W + x`` is cell ``(x, y)``.  The operand form of the anchor-mask
+    shift algebra in :mod:`repro.fabric.masks`."""
+    return int.from_bytes(
+        np.packbits(plane.reshape(-1), bitorder="little").tobytes(), "little"
+    )
+
+
 class PartialRegion:
     """A fabric plus the mask of its reconfigurable cells."""
 
@@ -140,22 +149,24 @@ class PartialRegion:
 class NarrowedRegion(PartialRegion):
     """A base region minus a set of blocked cells, remembering its lineage.
 
-    The LNS driver carves the frozen modules' cells out of the incumbent
-    region before re-solving the free modules; the result behaves exactly
-    like a plain :class:`PartialRegion` (and is safe to hand to any
-    consumer), but additionally records *which* base region it narrows and
-    *which* cells were blocked.  Cache-aware consumers — the placement
-    kernel with an :class:`~repro.fabric.cache.AnchorMaskCache` — use that
-    lineage to derive anchor masks from the cached base-region masks by
-    clearing only the anchors that collide with the blocked cells, instead
-    of recomputing every cross-correlation against the carved-up fabric.
+    Every residual is one of these (LNS subproblems, the runtime
+    manager's free space, the defrag probe).  It behaves exactly like a
+    plain :class:`PartialRegion`, but additionally records *which* base
+    region it narrows and *which* cells were blocked; an
+    :class:`~repro.fabric.cache.AnchorMaskCache` uses that lineage to
+    answer a lookup from the cached base-region mask instead of
+    computing (and storing) one for the carved-up fabric.  Narrowing a
+    narrowed region narrows its root base by both blocked sets.
     """
 
     def __init__(
         self, base: PartialRegion, blocked_yx: np.ndarray, name: str = ""
     ) -> None:
         blocked_yx = np.asarray(blocked_yx, dtype=np.int64).reshape(-1, 2)
-        mask = base.reconfigurable.copy()
+        if isinstance(base, NarrowedRegion):
+            blocked_yx = np.concatenate([base.blocked_yx, blocked_yx])
+            base = base.base
+        blocked = np.zeros((base.height, base.width), dtype=bool)
         if blocked_yx.size:
             if (
                 blocked_yx.min() < 0
@@ -163,9 +174,15 @@ class NarrowedRegion(PartialRegion):
                 or blocked_yx[:, 1].max() >= base.width
             ):
                 raise ValueError("blocked cells outside the base region")
-            mask[blocked_yx[:, 0], blocked_yx[:, 1]] = False
-        super().__init__(base.grid, mask, name or f"{base.name}-narrowed")
+            blocked[blocked_yx[:, 0], blocked_yx[:, 1]] = True
+        super().__init__(
+            base.grid, base.reconfigurable & ~blocked,
+            name or f"{base.name}-narrowed",
+        )
         #: the region this one was carved from
         self.base = base
         #: (n, 2) array of blocked (y, x) cells
         self.blocked_yx = blocked_yx
+        #: the blocked plane as :func:`pack_bits`, the operand of
+        #: :func:`~repro.fabric.masks.narrowed_anchor_mask`
+        self.blocked_bits = pack_bits(blocked)

@@ -46,7 +46,7 @@ from repro.fabric.masks import (
     count_anchors_batch,
     valid_anchor_mask,
 )
-from repro.fabric.region import NarrowedRegion, PartialRegion
+from repro.fabric.region import PartialRegion
 from repro.geost.incremental import IncStats, KernelOptions
 from repro.modules.footprint import Footprint
 from repro.modules.module import Module
@@ -219,18 +219,11 @@ class PlacementKernel(Propagator):
                 _Item(i, m, x, y, s)
                 for i, (m, x, y, s) in enumerate(zip(modules, xs, ys, ss))
             ]
-        # three mask sources, cheapest first: a NarrowedRegion with a cache
-        # reuses the *base* region's memoized masks and fixes them up below
-        # (the incremental LNS path); a cache alone memoizes per (region,
-        # footprint); no cache recomputes the cross-correlation every time
+        # two mask sources: the cache (which answers a narrowed residual
+        # from its base region's memoized masks), or a fresh
+        # cross-correlation
         snap = cache.snapshot() if cache is not None else None
-        narrowed = cache is not None and isinstance(region, NarrowedRegion)
-        if narrowed:
-            base_key = cache.region_key(region.base)
-            mask_of = lambda fp: cache.anchor_mask(  # noqa: E731
-                region.base, fp, region_key=base_key
-            )
-        elif cache is not None:
+        if cache is not None:
             key = cache.region_key(region)
             mask_of = lambda fp: cache.anchor_mask(  # noqa: E731
                 region, fp, region_key=key
@@ -270,50 +263,6 @@ class PlacementKernel(Propagator):
         self._all_owners = np.concatenate(owner_chunks)      # (TOT,)
         #: offsets of still-unplaced items; placed items need no narrowing
         self._active_offsets = np.ones(len(self._all_owners), dtype=bool)
-        if narrowed:
-            # derive the sub-region masks from the base-region masks: an
-            # anchor is newly invalid iff some footprint cell lands on a
-            # blocked (frozen) cell.  The collide map is the OR-dual of the
-            # mask cross-correlation, evaluated on the *flattened* blocked
-            # map as big-int shift-ORs (one ~H*W-bit shift per footprint
-            # cell, shared across rows with the same footprint): row-major
-            # flattening lets a 2D shift by (dy, dx) become one 1D shift by
-            # dy*W + dx.  The wraparound bits this smears across row edges
-            # only land on anchors whose footprint already leaves the grid
-            # — anchors the base mask marks invalid — so ANDing the result
-            # into the bank stays exact.  Unlike a pairwise difference-of-
-            # coordinates update (what _imprint uses for single placements)
-            # the cost is independent of how many cells are blocked, which
-            # is what makes narrowing by a whole frozen set cheap.
-            if region.blocked_yx.size:
-                blocked = np.zeros((self.H, self.W), dtype=bool)
-                blocked[region.blocked_yx[:, 0], region.blocked_yx[:, 1]] = True
-                blocked_bits = int.from_bytes(
-                    np.packbits(blocked.reshape(-1), bitorder="little")
-                    .tobytes(),
-                    "little",
-                )
-                n = self.H * self.W
-                keep_of: Dict[frozenset, np.ndarray] = {}
-                row = 0
-                for item in self.items:
-                    for fp in item.module.shapes:
-                        keep = keep_of.get(fp.cells)
-                        if keep is None:
-                            bits = 0
-                            for dx, dy, _ in fp.cells:
-                                bits |= blocked_bits >> (dy * self.W + dx)
-                            keep = ~np.unpackbits(
-                                np.frombuffer(
-                                    bits.to_bytes((n + 7) // 8, "little"),
-                                    np.uint8,
-                                ),
-                                bitorder="little",
-                            )[:n].view(bool)
-                            keep_of[fp.cells] = keep
-                        self.bank[row] &= keep
-                        row += 1
-            cache.note_narrowed(self.bank.shape[0])
         #: per-construction cache accounting (None when built uncached)
         self.cache_stats: Optional[Dict[str, int]] = (
             cache.delta(snap) if cache is not None else None

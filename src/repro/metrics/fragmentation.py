@@ -65,7 +65,11 @@ def maximal_empty_rectangles(free: np.ndarray) -> List[Tuple[int, int, int, int]
 
 def largest_free_rectangle(result: PlacementResult) -> Tuple[int, int, int, int]:
     """The (x, y, w, h) free rectangle of maximum area ((0,0,0,0) if none)."""
-    rects = maximal_empty_rectangles(free_mask(result))
+    return _largest_rectangle(free_mask(result))
+
+
+def _largest_rectangle(free: np.ndarray) -> Tuple[int, int, int, int]:
+    rects = maximal_empty_rectangles(free)
     if not rects:
         return (0, 0, 0, 0)
     return max(rects, key=lambda r: r[2] * r[3])
@@ -82,7 +86,7 @@ def external_fragmentation(result: PlacementResult) -> float:
     total = int(free.sum())
     if total == 0:
         return 0.0
-    _, _, w, h = largest_free_rectangle(result)
+    _, _, w, h = _largest_rectangle(free)
     return 1.0 - (w * h) / total
 
 

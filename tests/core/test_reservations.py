@@ -33,12 +33,27 @@ from repro.obs import RecordingTracer, validate_event
 
 # ----------------------------------------------------------------------
 # Golden fingerprints: the horizon=0 replay must stay bit-identical to
-# the pre-reservation manager (captured on the parent commit)
+# the pre-reservation manager.  The hashes cover the outcome rows, the
+# shard assignment and the runtime.* profile meta; they were recaptured
+# without the anchor-mask cache counters on the last commit whose
+# residuals were plain content-keyed regions, and that change left them
+# unchanged.
 # ----------------------------------------------------------------------
-MANAGER_FP = "84d041048a545d6ea95f0cb80a5fd883"
+MANAGER_FP = "876786c0d7aaf6a422c9b987d997f829"
 SERVICE_FP = {
-    "least-loaded": "be9a376af213cc38139631892db41329",
-    "least-fragmented": "3c03d3ceec9f796558efb2da519fb145",
+    "least-loaded": "a72bf1e50cf75ececd0d4ad3b9cbe21c",
+    "least-fragmented": "37262bbcbfdda82ba722c313f071c846",
+}
+# (hits, misses, narrowed, evictions) of the same replays.  Residuals are
+# NarrowedRegions answered from the shard region's entries, so each probe
+# counts one base-entry hit or miss plus one narrowed lookup; while
+# residuals were content-keyed regions nearly every probe was a miss (the
+# manager replay counted (249, 1141, 0, 0)).  Misses are now bounded by
+# the distinct footprints of the trace.
+MANAGER_CACHE = (1182, 208, 1390, 0)
+SERVICE_CACHE = {
+    "least-loaded": (598, 509, 1107, 0),
+    "least-fragmented": (493, 464, 957, 0),
 }
 WORKLOAD_FP = {
     "w12_s0": "651a92103930bf9b3e71c056629ee7de",
@@ -59,23 +74,23 @@ def _outcome_row(o):
     )
 
 
-def _profile_row(profile):
+def _meta_row(profile):
     # wall-clock fields can never be deterministic; reservation counters
     # post-date the golden capture (asserted zero separately below)
-    meta = {
+    return {
         k: v
         for k, v in sorted(profile.meta.items())
-        if not k.endswith("_s")
-        and not k.endswith("latency_s")
-        and "reservation" not in k
+        if not k.endswith("_s") and "reservation" not in k
     }
-    return {
-        "cache_hits": profile.cache_hits,
-        "cache_misses": profile.cache_misses,
-        "cache_narrowed": profile.cache_narrowed,
-        "cache_evictions": profile.cache_evictions,
-        "meta": meta,
-    }
+
+
+def _cache_row(profile):
+    return (
+        profile.cache_hits,
+        profile.cache_misses,
+        profile.cache_narrowed,
+        profile.cache_evictions,
+    )
 
 
 def _fingerprint(payload) -> str:
@@ -91,9 +106,10 @@ class TestHorizonZeroBitIdentity:
         log = mgr.run(default_runtime_trace(60, seed=7))
         payload = {
             "outcomes": [_outcome_row(o) for o in log.outcomes],
-            "profile": _profile_row(mgr.profile()),
+            "meta": _meta_row(mgr.profile()),
         }
         assert _fingerprint(payload) == MANAGER_FP
+        assert _cache_row(mgr.profile()) == MANAGER_CACHE
         # at horizon 0 the reservation machinery must be fully dormant
         s = mgr.stats
         assert s.reservations_booked == 0
@@ -115,9 +131,10 @@ class TestHorizonZeroBitIdentity:
         payload = {
             "outcomes": [_outcome_row(o) for o in slog.outcomes],
             "shard_of": dict(sorted(slog.shard_of.items())),
-            "profile": _profile_row(svc.profile()),
+            "meta": _meta_row(svc.profile()),
         }
         assert _fingerprint(payload) == SERVICE_FP[router]
+        assert _cache_row(svc.profile()) == SERVICE_CACHE[router]
         assert slog.stats.reservations_booked == 0
 
     def test_workload_traces_byte_identical(self):

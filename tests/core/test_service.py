@@ -35,6 +35,7 @@ from repro.core.service import (
     register_router,
 )
 from repro.experiments.config import default_fabric
+from repro.experiments.service_load import serving_config
 from repro.fabric.devices import homogeneous_device
 from repro.fabric.region import PartialRegion
 from repro.modules.footprint import Footprint
@@ -380,6 +381,28 @@ class TestLifecycle:
         cache = svc.shards[0]._cache
         assert svc.shards[1]._cache is cache
         assert (cache.misses, cache.hits) == (2, 2)
+
+    def test_replay_over_a_warmed_cache_adds_no_entries(self):
+        """Residuals, defrag probes and reservation probes all narrow the
+        warmed shard entries: a long replay must not grow the cache.  (A
+        content-keyed residual per probe added about one entry each.)"""
+        cfg = serving_config(
+            "least-fragmented", defrag="no-break", reservation_horizon=16
+        )
+        svc = ShardedPlacementService(
+            ShardedPlacementService.split(default_fabric(), 4), cfg
+        )
+        trace = generate_workload(
+            60, seed=5, mean_interarrival=1, mean_lifetime=80,
+            profile="slack-heavy",
+        )
+        svc.warm([r.module for r in trace])
+        cache = svc.shards[0]._cache
+        entries, compat = len(cache), len(cache._compat)
+        svc.run(trace)
+        assert svc.stats.defrags > 0 and svc.stats.reservations_booked > 0
+        assert (len(cache), len(cache._compat)) == (entries, compat)
+        assert cache.narrowed > 0
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ cache — or derived incrementally from cached base-region masks for a
 fresh cross-correlation would produce, anchor for anchor.  The
 differential suite below checks that across 30 seeded (region,
 frozen-set, module-library) instances, at both the single-mask level and
-the assembled kernel-bank level.
+the assembled kernel-bank level, and ``TestNarrowedLookups`` pins
+narrowed lookups against the per-anchor brute-force oracle on the
+blocked sets that stress the shift algebra's row-edge wraparound.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from repro.fabric.cache import (
     region_fingerprint,
 )
 from repro.fabric.devices import irregular_device
-from repro.fabric.masks import valid_anchor_mask
+from repro.fabric.masks import brute_force_anchor_mask, valid_anchor_mask
 from repro.fabric.region import NarrowedRegion, PartialRegion
 from repro.geost.placement import PlacementKernel
+from repro.fabric.resource import ResourceType
 from repro.modules.footprint import Footprint
 from repro.modules.generator import GeneratorConfig, ModuleGenerator
 
@@ -187,6 +190,100 @@ class TestDifferential:
         assert incremental.cache_stats["hits"] == 0
         assert incremental.cache_stats["misses"] > 0
         assert np.array_equal(incremental.bank, reference.bank)
+
+
+def _blocked_sets(region, rng):
+    """Named blocked-cell sets over one base: the edge cases the shift-OR
+    narrowing's wraparound argument must survive, plus random draws (any
+    cell may be blocked, reconfigurable or not)."""
+    H, W = region.height, region.width
+    every = np.argwhere(np.ones((H, W), dtype=bool)).astype(np.int64)
+    return {
+        "empty": np.empty((0, 2), dtype=np.int64),
+        "right-edge-column": every[every[:, 1] == W - 1],
+        "top-row": every[every[:, 0] == H - 1],
+        "left-column-and-bottom-row": every[
+            (every[:, 1] == 0) | (every[:, 0] == 0)
+        ],
+        "all": every,
+        "random-sparse": every[rng.sample(range(len(every)), H * W // 10)],
+        "random-dense": every[rng.sample(range(len(every)), H * W // 2)],
+    }
+
+
+def _random_footprints(rng, seed):
+    cfg = GeneratorConfig(clb_min=3, clb_max=12, bram_max=1,
+                          height_min=1, height_max=4)
+    fps = [
+        fp
+        for m in ModuleGenerator(seed=seed, config=cfg).generate_set(2)
+        for fp in m.shapes
+    ]
+    # a scattered footprint: cells far apart in both axes, so row-edge
+    # wraparound bits reach well past the anchor's own row
+    cells = {(0, 0, ResourceType.CLB)} | {
+        (rng.randrange(6), rng.randrange(4), ResourceType.CLB)
+        for _ in range(4)
+    }
+    fps.append(Footprint(cells))
+    fps.append(Footprint.rectangle(1, 1))
+    return fps
+
+
+class TestNarrowedLookups:
+    """``anchor_mask`` on a NarrowedRegion vs the per-anchor oracle."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_narrowed_masks_match_brute_force(self, seed):
+        rng = random.Random(1000 + seed)
+        grid = irregular_device(
+            rng.choice([12, 16, 21]), rng.choice([5, 8]),
+            seed=rng.randrange(1 << 16),
+        )
+        base = (
+            PartialRegion.whole_device(grid)
+            if seed % 2
+            else PartialRegion.with_static_box(grid, 2, 1, 3, 2)
+        )
+        cache = AnchorMaskCache()
+        for name, blocked in _blocked_sets(base, rng).items():
+            sub = NarrowedRegion(base, blocked, name)
+            for fp in _random_footprints(rng, seed):
+                got = cache.anchor_mask(sub, fp)
+                want = brute_force_anchor_mask(sub, sorted(fp.cells))
+                assert np.array_equal(got, want), (name, sorted(fp.cells))
+                assert not got.flags.writeable
+
+    def test_nested_narrowing_keeps_one_lineage_level(self):
+        base = PartialRegion.whole_device(irregular_device(16, 8, seed=4))
+        inner = NarrowedRegion(base, np.array([[0, 0], [2, 3]]))
+        outer = NarrowedRegion(inner, np.array([[5, 7]]))
+        assert outer.base is base
+        assert not outer.reconfigurable[[0, 2, 5], [0, 3, 7]].any()
+        fp = Footprint.rectangle(2, 2)
+        assert np.array_equal(
+            AnchorMaskCache().anchor_mask(outer, fp),
+            brute_force_anchor_mask(outer, sorted(fp.cells)),
+        )
+
+    def test_counters_hit_the_base_entry_and_store_nothing_else(self):
+        base = PartialRegion.whole_device(irregular_device(16, 8, seed=2))
+        fp = Footprint.rectangle(3, 2)
+        cache = AnchorMaskCache()
+        a = NarrowedRegion(base, np.array([[1, 1]]))
+        b = NarrowedRegion(base, np.array([[4, 9], [7, 15]]))
+        cache.anchor_mask(a, fp)  # cold: the base entry misses
+        assert cache.stats() == {
+            "hits": 0, "misses": 1, "narrowed": 1, "evictions": 0,
+            "entries": 1,
+        }
+        cache.anchor_mask(b, fp)  # another residual: a base hit
+        cache.anchor_mask(base, fp)  # the base itself: a plain hit
+        assert cache.stats() == {
+            "hits": 2, "misses": 1, "narrowed": 2, "evictions": 0,
+            "entries": 1,
+        }
+        assert len(cache._compat) == 1
 
 
 class TestLRUCapacity:
