@@ -23,7 +23,9 @@ test-oracle:
 	  tests/geost/test_cross_validation.py \
 	  tests/geost/test_bitboard_planes.py \
 	  tests/geost/test_sweep_monotonic.py \
-	  tests/fabric/test_anchor_cache.py
+	  tests/fabric/test_anchor_cache.py \
+	  tests/core/test_relocation_defrag.py \
+	  tests/core/test_defrag_properties.py
 
 ## pytest-benchmark suite (not part of tier-1)
 bench:

@@ -18,10 +18,9 @@ import random
 import statistics
 import time
 
-import numpy as np
-
 from repro.core.placer import CPPlacer, PlacerConfig
 from repro.core.placement_model import PlacementModel
+from repro.core.result import PlacementResult
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.region import NarrowedRegion
 from repro.placer.greedy import BottomLeftPlacer
@@ -40,10 +39,7 @@ def _lns_iteration(region, modules, n_free: int = 8, seed: int = 0):
     rng = random.Random(seed)
     free = set(rng.sample(range(len(modules)), n_free))
     frozen = [p for i, p in enumerate(incumbent.placements) if i not in free]
-    blocked = np.array(
-        [(y, x) for p in frozen for x, y, _ in p.absolute_cells()],
-        dtype=np.int64,
-    ).reshape(-1, 2)
+    blocked = PlacementResult(region, frozen).occupancy_mask()
     sub = NarrowedRegion(region, blocked, f"{region.name}-lns")
     free_modules = [incumbent.placements[i].module for i in sorted(free)]
     return sub, free_modules

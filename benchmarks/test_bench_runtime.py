@@ -94,7 +94,7 @@ class TestRuntimeManagerThroughput:
 
         region = default_fabric()
         trace = generate_workload(100, seed=3)
-        config = RuntimeConfig(probe="cp", probe_time_limit=0.05)
+        config = RuntimeConfig(probe_time_limit=0.05)
 
         def serve():
             return RuntimePlacementManager(region, config).run(trace)

@@ -23,7 +23,6 @@ from repro.core.relocation import (
 )
 from repro.core.defrag import (
     DefragPlan,
-    DefragResult,
     Defragmenter,
     GreedyCompactionDefragmenter,
     NoBreakDefragmenter,
@@ -93,7 +92,6 @@ __all__ = [
     "relocation_sites",
     "relocatability_report",
     "DefragPlan",
-    "DefragResult",
     "Defragmenter",
     "GreedyCompactionDefragmenter",
     "NoBreakDefragmenter",

@@ -18,13 +18,22 @@ policies:
 * ``allow_shape_change=True`` (valid for stateless/restartable modules) —
   relocation may pick a different alternative.
 
-Two engines live behind a name-keyed registry
-(:func:`register_defragmenter` / :func:`create_defragmenter`, mirroring
-the backend and router registries):
+Both engines run one greedy left-compaction loop,
+:meth:`Defragmenter.plan`: repeatedly take the module whose right edge
+defines the extent, enumerate its relocation sites strictly left of its
+current right edge, move it to the bottom-left-most one the engine's
+move rule accepts; when the frontier is stuck, squeeze interior modules
+left (never past the current extent — a squeeze move may change shape,
+and an unguarded wider alternative could *grow* the floorplan); stop
+when no module can move or the move budget is exhausted.  The loop
+keeps one occupancy plane per pass and probes it with the mover lifted.
+The engines differ only in the move rule, and live behind a name-keyed
+registry (:func:`register_defragmenter` / :func:`create_defragmenter`,
+mirroring the backend and router registries):
 
-* ``greedy-compaction`` — the original *instant* pass wrapped as a
-  planner: :func:`defragment` teleports modules atomically and reports
-  per-move frame costs without scheduling them.  It stays registered as
+* ``greedy-compaction`` — the *instant* rule: every site is reached by
+  an atomic teleport that reports its frame cost without scheduling it
+  (:func:`defragment` is this engine's plan).  It stays registered as
   the oracle the incremental engine is differential-tested against.
 * ``no-break`` — plans move *sequences* that respect running modules,
   after van der Veen et al. ("Defragmenting the Module Layout of a
@@ -41,186 +50,26 @@ the backend and router registries):
   incrementally on its logical clock between arrivals
   (:mod:`repro.core.runtime`).
 
-Both engines run their relocation-site probes through a shared
+The relocation-site probes run through a shared
 :class:`~repro.fabric.cache.AnchorMaskCache` when one is supplied — the
 defrag pass is the hottest mask consumer on the serving path.
-
-Shared algorithm skeleton: greedy left-compaction.  Repeatedly take the
-module whose right edge defines the extent, enumerate its relocation
-sites strictly left of its current anchor, move it to the
-bottom-left-most feasible one; when the frontier is stuck, squeeze
-interior modules left (never past the current extent — a squeeze move
-may change shape, and an unguarded wider alternative could *grow* the
-floorplan); stop when no module can move or the move budget is
-exhausted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.core.relocation import (
     RelocationSite,
     relocation_distance,
-    relocation_sites,
+    sites_on_plane,
 )
 from repro.core.result import Placement, PlacementResult
 from repro.fabric.cache import AnchorMaskCache
-
-
-@dataclass
-class Move:
-    """One executed relocation (instant engine)."""
-
-    module: str
-    from_pos: Tuple[int, int]
-    to_pos: Tuple[int, int]
-    from_shape: int
-    to_shape: int
-    frames: int
-
-    @property
-    def changed_shape(self) -> bool:
-        return self.from_shape != self.to_shape
-
-
-@dataclass
-class DefragResult:
-    """Outcome of an instant defragmentation pass."""
-
-    result: PlacementResult
-    moves: List[Move] = field(default_factory=list)
-    initial_extent: int = 0
-    final_extent: int = 0
-
-    @property
-    def total_frames(self) -> int:
-        return sum(m.frames for m in self.moves)
-
-    @property
-    def improvement(self) -> int:
-        return self.initial_extent - self.final_extent
-
-
-def defragment(
-    result: PlacementResult,
-    allow_shape_change: bool = False,
-    max_moves: Optional[int] = None,
-    cache: Optional[AnchorMaskCache] = None,
-) -> DefragResult:
-    """Greedy left-compaction of a placed system (instant moves).
-
-    Returns a new :class:`PlacementResult` (the input is not modified)
-    plus the move list with per-move reconfiguration frame costs.
-    ``max_moves`` is a hard cap on executed relocations; when None an
-    internal termination guard bounds the pass instead.  ``cache``
-    serves the relocation-site masks (see
-    :func:`~repro.core.relocation.relocation_sites`).
-
-    A pass never returns a worse floorplan: frontier moves strictly
-    shrink the mover's right edge, and squeeze moves are capped at the
-    current extent — without that cap a lexicographically-smaller anchor
-    of a *wider* design alternative could grow the extent (a real
-    regression, pinned by the tests).
-    """
-    placements = list(result.placements)
-    current = PlacementResult(result.region, placements, list(result.unplaced))
-    initial_extent = current.extent or 0
-    moves: List[Move] = []
-    # one unified move budget, checked in one place: the explicit cap, or
-    # a termination guard — shape-changing moves may trade width for x,
-    # so bound the pass length instead of relying on a monotone metric
-    budget = max_moves if max_moves is not None else 4 * max(1, len(placements))
-
-    # each loop iteration executes at most one move (frontier OR squeeze),
-    # so this single guard caps both phases consistently
-    while len(moves) < budget:
-        extent = max((p.right for p in placements), default=0)
-        frontier = [
-            (i, p) for i, p in enumerate(placements) if p.right == extent
-        ]
-        moved = False
-        for i, p in sorted(frontier, key=lambda t: -t[1].footprint.area):
-            sites = relocation_sites(
-                current, p, consider_alternatives=allow_shape_change,
-                cache=cache,
-            )
-            # only strictly-left-shrinking targets count as compaction
-            better = [
-                s
-                for s in sites
-                if s.x + p.module.shapes[s.shape_index].width < p.right
-            ]
-            if not better:
-                continue
-            target = min(better, key=lambda s: (s.x, s.y, s.shape_index))
-            new_p = Placement(p.module, target.shape_index, target.x, target.y)
-            moves.append(
-                Move(
-                    module=p.module.name,
-                    from_pos=(p.x, p.y),
-                    to_pos=(target.x, target.y),
-                    from_shape=p.shape_index,
-                    to_shape=target.shape_index,
-                    frames=relocation_distance(p, target),
-                )
-            )
-            placements[i] = new_p
-            current = PlacementResult(
-                result.region, placements, list(result.unplaced)
-            )
-            moved = True
-            break
-        if not moved:
-            # the frontier is stuck: squeeze interior modules left to open
-            # space (in x order), then retry; stop when nothing moves at all
-            for i, p in sorted(enumerate(placements), key=lambda t: t[1].x):
-                sites = relocation_sites(
-                    current, p, consider_alternatives=allow_shape_change,
-                    cache=cache,
-                )
-                # a squeeze move may pick a different (wider) alternative:
-                # cap its right edge at the current extent so the pass can
-                # never worsen the floorplan it was asked to compact
-                better = [
-                    s
-                    for s in sites
-                    if (s.x, s.y) < (p.x, p.y)
-                    and s.x + p.module.shapes[s.shape_index].width <= extent
-                ]
-                if not better:
-                    continue
-                target = min(better, key=lambda s: (s.x, s.y, s.shape_index))
-                new_p = Placement(
-                    p.module, target.shape_index, target.x, target.y
-                )
-                moves.append(
-                    Move(
-                        module=p.module.name,
-                        from_pos=(p.x, p.y),
-                        to_pos=(target.x, target.y),
-                        from_shape=p.shape_index,
-                        to_shape=target.shape_index,
-                        frames=relocation_distance(p, target),
-                    )
-                )
-                placements[i] = new_p
-                current = PlacementResult(
-                    result.region, placements, list(result.unplaced)
-                )
-                moved = True
-                break
-        if not moved:
-            break
-
-    final = PlacementResult(result.region, placements, list(result.unplaced))
-    return DefragResult(
-        result=final,
-        moves=moves,
-        initial_extent=initial_extent,
-        final_extent=final.extent or 0,
-    )
+from repro.fabric.region import PartialRegion
 
 
 # ----------------------------------------------------------------------
@@ -344,11 +193,12 @@ def _slide_anchors(
 class Defragmenter:
     """Plans one defragmentation pass over a live floorplan.
 
-    Planners are pure: they never mutate the input result.  ``instant``
-    engines teleport (their moves carry no window and the runtime
-    manager applies the end state atomically); incremental engines
-    return windowed move sequences the manager schedules on its logical
-    clock.
+    :meth:`plan` is the greedy left-compaction loop every engine shares;
+    an engine supplies only its move rule, :meth:`_plan_move`.  Planners
+    are pure: they never mutate the input result.  ``instant`` engines
+    teleport (their moves carry no window and the runtime manager applies
+    the end state atomically); incremental engines return windowed move
+    sequences the manager schedules on its logical clock.
     """
 
     name = "defragmenter"
@@ -362,166 +212,162 @@ class Defragmenter:
         max_moves: Optional[int] = None,
         cache: Optional[AnchorMaskCache] = None,
     ) -> DefragPlan:
-        raise NotImplementedError
+        """Greedy left-compaction as a move sequence.
 
+        Each step probes the frontier modules (those whose right edge
+        defines the extent, largest first) for a site whose right edge
+        is strictly left of the mover's; when the frontier is stuck it
+        squeezes interior modules (in x order) to a bottom-left-smaller
+        site, capped at the current extent — a squeeze move may change
+        shape, and an unguarded wider alternative could *grow* the
+        floorplan.  A probe's candidates are tried bottom-left-most first
+        (``(x, y, shape_index)``) and the first one :meth:`_plan_move`
+        accepts is simulated before the next step, so move ``k`` is
+        feasible in the state moves ``0..k-1`` leave.  The pass stops when
+        nothing moves or after ``max_moves`` moves (None: a termination
+        guard of four moves per module — shape-changing moves may trade
+        width for x, so no monotone metric bounds the pass).
 
-class GreedyCompactionDefragmenter(Defragmenter):
-    """The original instant pass, wrapped as a planner (the oracle)."""
-
-    name = "greedy-compaction"
-    instant = True
-
-    def plan(
-        self,
-        result: PlacementResult,
-        allow_shape_change: bool = False,
-        max_moves: Optional[int] = None,
-        cache: Optional[AnchorMaskCache] = None,
-    ) -> DefragPlan:
-        out = defragment(
-            result,
-            allow_shape_change=allow_shape_change,
-            max_moves=max_moves,
-            cache=cache,
-        )
-        moves = [
-            PlannedMove(
-                module=m.module,
-                from_shape=m.from_shape,
-                from_pos=m.from_pos,
-                to_shape=m.to_shape,
-                to_pos=m.to_pos,
-                kind=MOVE_INSTANT,
-                frames=m.frames,
-            )
-            for m in out.moves
-        ]
-        return DefragPlan(
-            result=out.result,
-            moves=moves,
-            initial_extent=out.initial_extent,
-            final_extent=out.final_extent,
-            instant=True,
-        )
-
-
-class NoBreakDefragmenter(Defragmenter):
-    """Greedy left-compaction as a no-break move sequence.
-
-    Same skeleton as the oracle, but every move must be *executable
-    against running modules*: a slide needs a free glide path, a copy
-    needs a target disjoint from its own source (the module occupies
-    both for the move window).  The plan simulates each move before
-    appending the next, so move ``k`` is feasible in the state left by
-    moves ``0..k-1`` — the runtime manager re-validates each move at
-    start time anyway, because arrivals interleave with execution.
-    """
-
-    name = "no-break"
-    instant = False
-
-    def plan(
-        self,
-        result: PlacementResult,
-        allow_shape_change: bool = False,
-        max_moves: Optional[int] = None,
-        cache: Optional[AnchorMaskCache] = None,
-    ) -> DefragPlan:
+        The floorplan is rasterized once per pass; every probe narrows
+        that plane minus the mover (see
+        :func:`~repro.core.relocation.sites_on_plane`) and every simulated
+        move updates it.  ``cache`` serves the probes' masks.
+        """
+        region = result.region
         placements = list(result.placements)
-        current = PlacementResult(
-            result.region, placements, list(result.unplaced)
-        )
-        initial_extent = current.extent or 0
+        occupied = result.occupancy_mask()
+        initial_extent = max((p.right for p in placements), default=0)
         moves: List[PlannedMove] = []
         budget = (
             max_moves if max_moves is not None
             else 4 * max(1, len(placements))
         )
-
         while len(moves) < budget:
-            extent = max((p.right for p in placements), default=0)
-            frontier = [
-                (i, p) for i, p in enumerate(placements) if p.right == extent
-            ]
-            planned = None
-            for i, p in sorted(frontier, key=lambda t: -t[1].footprint.area):
-                sites = relocation_sites(
-                    current, p, consider_alternatives=allow_shape_change,
-                    cache=cache,
-                )
-                better = [
-                    s
-                    for s in sites
-                    if s.x + p.module.shapes[s.shape_index].width < p.right
-                ]
-                planned = self._first_feasible(p, better, sites)
-                if planned is not None:
-                    planned = (i, planned)
-                    break
-            if planned is None:
-                for i, p in sorted(enumerate(placements), key=lambda t: t[1].x):
-                    sites = relocation_sites(
-                        current, p,
-                        consider_alternatives=allow_shape_change,
-                        cache=cache,
-                    )
-                    # same extent cap as the instant squeeze phase: a
-                    # wider alternative must never grow the floorplan
-                    better = [
-                        s
-                        for s in sites
-                        if (s.x, s.y) < (p.x, p.y)
-                        and s.x + p.module.shapes[s.shape_index].width
-                        <= extent
-                    ]
-                    planned = self._first_feasible(p, better, sites)
-                    if planned is not None:
-                        planned = (i, planned)
-                        break
-            if planned is None:
+            step = self._next_move(
+                region, occupied, placements, allow_shape_change, cache
+            )
+            if step is None:
                 break
-            i, move = planned
+            i, move = step
             moves.append(move)
-            placements[i] = Placement(
-                placements[i].module, move.to_shape, *move.to_pos
-            )
-            current = PlacementResult(
-                result.region, placements, list(result.unplaced)
-            )
+            old = placements[i]
+            placements[i] = Placement(old.module, move.to_shape, *move.to_pos)
+            occupied[old.yx()] = False
+            occupied[placements[i].yx()] = True
 
-        final = PlacementResult(
-            result.region, placements, list(result.unplaced)
-        )
+        final = PlacementResult(region, placements, list(result.unplaced))
         return DefragPlan(
             result=final,
             moves=moves,
             initial_extent=initial_extent,
             final_extent=final.extent or 0,
-            instant=False,
+            instant=self.instant,
         )
 
-    # ------------------------------------------------------------------
-    def _first_feasible(
+    def _next_move(
         self,
-        placement: Placement,
-        candidates: List[RelocationSite],
-        sites: List[RelocationSite],
-    ) -> Optional[PlannedMove]:
-        """Bottom-left-most candidate reachable no-break, or None."""
-        site_set = {(s.shape_index, s.x, s.y) for s in sites}
-        for site in sorted(
-            candidates, key=lambda s: (s.x, s.y, s.shape_index)
-        ):
-            move = self._plan_move(placement, site, site_set)
-            if move is not None:
-                return move
+        region: PartialRegion,
+        occupied: np.ndarray,
+        placements: List[Placement],
+        allow_shape_change: bool,
+        cache: Optional[AnchorMaskCache],
+    ) -> Optional[Tuple[int, PlannedMove]]:
+        """One compaction step: (placement index, move), or None."""
+        extent = max((p.right for p in placements), default=0)
+        frontier = sorted(
+            (i for i, p in enumerate(placements) if p.right == extent),
+            key=lambda i: -placements[i].footprint.area,
+        )
+        interior = sorted(range(len(placements)), key=lambda i: placements[i].x)
+        # (probe order, is a site with this right edge an improvement?)
+        phases = (
+            (frontier, lambda p, s, right: right < p.right),
+            (
+                interior,
+                lambda p, s, right: (s.x, s.y) < (p.x, p.y) and right <= extent,
+            ),
+        )
+        for order, better in phases:
+            for i in order:
+                p = placements[i]
+                sites = sites_on_plane(
+                    region, occupied, p, allow_shape_change, cache
+                )
+                shapes = p.module.shapes
+                candidates = sorted(
+                    (
+                        s for s in sites
+                        if better(p, s, s.x + shapes[s.shape_index].width)
+                    ),
+                    key=lambda s: (s.x, s.y, s.shape_index),
+                )
+                if not candidates:
+                    continue
+                site_set = {(s.shape_index, s.x, s.y) for s in sites}
+                for site in candidates:
+                    move = self._plan_move(p, site, site_set)
+                    if move is not None:
+                        return i, move
         return None
 
     def _plan_move(
         self,
         placement: Placement,
         site: RelocationSite,
-        site_set: set,
+        site_set: Set[Tuple[int, int, int]],
+    ) -> Optional[PlannedMove]:
+        """The move rule: ``placement`` to one candidate ``site`` (every
+        site of the lifted module is in ``site_set`` as ``(shape_index,
+        x, y)``), or None when this engine cannot reach it."""
+        raise NotImplementedError
+
+
+class GreedyCompactionDefragmenter(Defragmenter):
+    """Teleport moves over the shared compaction loop (the oracle)."""
+
+    name = "greedy-compaction"
+    instant = True
+    # bound on the class itself so per-engine instrumentation that wraps
+    # ``plan`` on each registered class times this engine's passes
+    plan = Defragmenter.plan
+
+    def _plan_move(
+        self,
+        placement: Placement,
+        site: RelocationSite,
+        site_set: Set[Tuple[int, int, int]],
+    ) -> Optional[PlannedMove]:
+        """Every site is reachable by an atomic teleport."""
+        return PlannedMove(
+            module=placement.module.name,
+            from_shape=placement.shape_index,
+            from_pos=(placement.x, placement.y),
+            to_shape=site.shape_index,
+            to_pos=(site.x, site.y),
+            kind=MOVE_INSTANT,
+            frames=relocation_distance(placement, site),
+        )
+
+
+class NoBreakDefragmenter(Defragmenter):
+    """Slide and copy moves over the shared compaction loop.
+
+    Every move must be *executable against running modules*: a slide
+    needs a free glide path, a copy needs a target disjoint from its own
+    source (the module occupies both for the move window).  The runtime
+    manager re-validates each move at start time anyway, because
+    arrivals interleave with execution.
+    """
+
+    name = "no-break"
+    instant = False
+    plan = Defragmenter.plan  # see GreedyCompactionDefragmenter
+
+    def _plan_move(
+        self,
+        placement: Placement,
+        site: RelocationSite,
+        site_set: Set[Tuple[int, int, int]],
     ) -> Optional[PlannedMove]:
         """One candidate site as a slide or copy move (None = unreachable)."""
         source_cells = {(x, y) for x, y, _ in placement.absolute_cells()}
@@ -569,6 +415,34 @@ class NoBreakDefragmenter(Defragmenter):
             frames=relocation_distance(placement, site),
             window_cells=tuple(sorted(source_cells | target_cells)),
         )
+
+
+def defragment(
+    result: PlacementResult,
+    allow_shape_change: bool = False,
+    max_moves: Optional[int] = None,
+    cache: Optional[AnchorMaskCache] = None,
+) -> DefragPlan:
+    """Greedy left-compaction of a placed system (instant moves).
+
+    The ``greedy-compaction`` engine's plan: a new :class:`PlacementResult`
+    (the input is not modified) plus the teleport moves with their
+    per-move reconfiguration frame costs.  ``max_moves`` is a hard cap on
+    relocations; when None an internal termination guard bounds the pass
+    instead.  ``cache`` serves the relocation-site masks.
+
+    A pass never returns a worse floorplan: frontier moves strictly
+    shrink the mover's right edge, and squeeze moves are capped at the
+    current extent — without that cap a lexicographically-smaller anchor
+    of a *wider* design alternative could grow the extent (a real
+    regression, pinned by the tests).
+    """
+    return GreedyCompactionDefragmenter().plan(
+        result,
+        allow_shape_change=allow_shape_change,
+        max_moves=max_moves,
+        cache=cache,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -40,8 +40,7 @@ class IncrementalPlacer:
     def residual_region(self) -> NarrowedRegion:
         """The region with committed module cells masked off."""
         return NarrowedRegion(
-            self.region, np.argwhere(self.occupancy()),
-            f"{self.region.name}-residual",
+            self.region, self.occupancy(), f"{self.region.name}-residual"
         )
 
     # ------------------------------------------------------------------

@@ -24,8 +24,6 @@ import time
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.placer import CPPlacer, PlacerConfig
 from repro.core.result import Placement, PlacementResult
 from repro.fabric.cache import AnchorMaskCache
@@ -302,11 +300,10 @@ class LNSPlacer:
         # NarrowedRegion keeps the lineage so the kernel can derive the
         # subproblem's anchor masks from the cached base-region masks
         # instead of recomputing every cross-correlation
-        blocked = np.array(
-            [(y, x) for p in frozen for x, y, _ in p.absolute_cells()],
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        sub_region = NarrowedRegion(region, blocked, f"{region.name}-lns")
+        sub_region = NarrowedRegion(
+            region, PlacementResult(region, frozen).occupancy_mask(),
+            f"{region.name}-lns",
+        )
 
         budget = min(cfg.sub_time_limit, max(0.1, deadline - time.monotonic()))
         sub_cfg = PlacerConfig(

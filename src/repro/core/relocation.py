@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.result import Placement, PlacementResult
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.masks import compatibility_masks, valid_anchor_mask
-from repro.fabric.region import NarrowedRegion
+from repro.fabric.region import NarrowedRegion, PartialRegion
 
 
 @dataclass(frozen=True)
@@ -68,25 +68,43 @@ def relocation_sites(
     cache entry.  The cached and uncached paths are bit-identical (pinned
     by the differential suite).
     """
-    occupied = result.occupancy_mask()
-    for x, y, _ in placement.absolute_cells():
-        occupied[y, x] = False
-    sub_region = NarrowedRegion(result.region, np.argwhere(occupied))
+    return sites_on_plane(
+        result.region, result.occupancy_mask(), placement,
+        consider_alternatives, cache,
+    )
+
+
+def sites_on_plane(
+    region: PartialRegion,
+    occupied: np.ndarray,
+    placement: Placement,
+    consider_alternatives: bool = True,
+    cache: Optional[AnchorMaskCache] = None,
+) -> List[RelocationSite]:
+    """:func:`relocation_sites` against a given occupancy plane of
+    ``region`` (which must hold ``placement``'s cells; it is not
+    modified) — the probe a defrag pass runs on the one plane it keeps
+    up to date per simulated move instead of re-rasterizing a floorplan
+    per probe."""
+    blocked = occupied.copy()
+    blocked[placement.yx()] = False
+    sub_region = NarrowedRegion(region, blocked)
     shapes = (
         list(enumerate(placement.module.shapes))
         if consider_alternatives
         else [(placement.shape_index, placement.footprint)]
     )
+    footprints = [fp for _, fp in shapes]
     if cache is not None:
-        masks = [(sid, cache.anchor_mask(sub_region, fp)) for sid, fp in shapes]
+        masks = cache.anchor_masks(sub_region, footprints)
     else:
         compat = compatibility_masks(sub_region)
         masks = [
-            (sid, valid_anchor_mask(sub_region, sorted(fp.cells), compat))
-            for sid, fp in shapes
+            valid_anchor_mask(sub_region, sorted(fp.cells), compat)
+            for fp in footprints
         ]
     sites: List[RelocationSite] = []
-    for sid, mask in masks:
+    for (sid, _), mask in zip(shapes, masks):
         ys, xs = np.nonzero(mask)
         sites.extend(
             RelocationSite(sid, int(x), int(y))

@@ -35,6 +35,13 @@ class Placement:
     def top(self) -> int:
         return self.y + self.footprint.height
 
+    def yx(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) index arrays of the placed cells: the footprint's
+        :meth:`~repro.modules.footprint.Footprint.offsets` shifted to the
+        anchor, ready to fancy-index an (H, W) plane."""
+        off = self.footprint.offsets()
+        return self.y + off[:, 0], self.x + off[:, 1]
+
     def absolute_cells(self) -> List[Tuple[int, int, ResourceType]]:
         return [
             (self.x + dx, self.y + dy, k) for dx, dy, k in self.footprint.cells
@@ -90,8 +97,7 @@ class PlacementResult:
         """(H, W) boolean mask of cells used by placed modules."""
         mask = np.zeros((self.region.height, self.region.width), dtype=bool)
         for p in self.placements:
-            for x, y, _ in p.absolute_cells():
-                mask[y, x] = True
+            mask[p.yx()] = True
         return mask
 
     def verify(self) -> None:

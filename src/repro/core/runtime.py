@@ -12,7 +12,7 @@ repo's existing parts under such a load:
   (:mod:`repro.core.backend`): by default a budgeted CP probe (anchor
   masks served from a shared :class:`~repro.fabric.cache.AnchorMaskCache`),
   then the bottom-left greedy rung, then reject.  ``RuntimeConfig.chain``
-  overrides the rungs declaratively by backend name.
+  names the rungs declaratively by backend name.
 * **Fragmentation control** — external fragmentation of the live
   floorplan is monitored (:mod:`repro.metrics.fragmentation`); crossing a
   threshold, or any rejection, triggers a :func:`~repro.core.defrag.defragment`
@@ -88,7 +88,8 @@ from repro.placer.greedy import BottomLeftPlacer
 
 
 def _yx(cells) -> Tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) index arrays of ``(x, y, ...)`` cell tuples."""
+    """(rows, cols) index arrays of ``(x, y)`` move-window cell tuples
+    (placements index through :meth:`Placement.yx`)."""
     xy = np.array([c[:2] for c in cells], dtype=np.int64).reshape(-1, 2)
     return xy[:, 1], xy[:, 0]
 
@@ -176,13 +177,11 @@ class RuntimeConfig:
 
     #: admit with the full alternative set (False = primary shape only)
     with_alternatives: bool = True
-    #: first fallback rung: "cp" (budgeted CP probe, then greedy) or
-    #: "greedy" (skip the CP probe — deterministic and much faster)
-    probe: str = "cp"
-    #: explicit admission chain as registered backend names (overrides
-    #: ``probe``); None = derived from ``probe``: ("cp", "greedy") or
-    #: ("greedy",).  Every name must be registered and relocatable.
-    chain: Optional[Sequence[str]] = None
+    #: admission chain as registered backend names, tried in order:
+    #: ("cp", "greedy") is a budgeted CP probe with a greedy fallback,
+    #: ("greedy",) skips the CP probe — deterministic and much faster.
+    #: Every name must be registered and relocatable.
+    chain: Sequence[str] = ("cp", "greedy")
     #: wall-clock budget of one CP probe (seconds)
     probe_time_limit: float = 0.25
     #: bounded pending queue (0 = reject immediately, no queueing)
@@ -230,20 +229,11 @@ class RuntimeConfig:
     #: (the sharded service) switch it off
     sample_timeline: bool = True
 
-    def effective_chain(self) -> Tuple[str, ...]:
-        """The admission rungs as registered backend names."""
-        if self.chain is not None:
-            return tuple(self.chain)
-        return ("cp", "greedy") if self.probe == "cp" else ("greedy",)
-
     def validate(self) -> None:
-        if self.probe not in ("cp", "greedy"):
-            raise ValueError(f"unknown probe {self.probe!r}")
-        chain = self.effective_chain()
-        if not chain:
+        if not self.chain:
             raise ValueError("admission chain must name at least one backend")
         registered = set(available_backends())
-        for name in chain:
+        for name in self.chain:
             if name not in registered:
                 raise ValueError(
                     f"unknown backend {name!r} in admission chain; "
@@ -496,7 +486,7 @@ class RuntimePlacementManager:
         self._active_move: Optional[_ActiveMove] = None
         #: the admission rungs, instantiated once per manager
         self._chain = [
-            (name, create_backend(name)) for name in cfg.effective_chain()
+            (name, create_backend(name)) for name in cfg.chain
         ]
         tracer = cfg.tracer
         self._tracer = tracer if tracer is not None and tracer.enabled else None
@@ -538,22 +528,24 @@ class RuntimePlacementManager:
         """Residual region for replanning one reservation: its own booked
         cells are fair game, the other reservations' cells stay promised."""
         reserved = self._reserved.copy()
-        reserved[_yx(reservation.placement.absolute_cells())] -= 1
+        reserved[reservation.placement.yx()] -= 1
         return self._residual(reserved)
 
     def _residual(self, reserved: np.ndarray) -> NarrowedRegion:
         blocked = self._occupancy | (reserved > 0)
         return NarrowedRegion(
-            self.region, np.argwhere(blocked), f"{self.region.name}-residual"
+            self.region, blocked, f"{self.region.name}-residual"
         )
 
     def _mark(
-        self, cells, occupied: Optional[bool] = None, reserved: int = 0
+        self,
+        index: Tuple[np.ndarray, np.ndarray],
+        occupied: Optional[bool] = None,
+        reserved: int = 0,
     ) -> None:
-        """The one writer of the free-space planes: set ``cells`` ((x, y,
-        ...) tuples) occupied or free, and/or add ``reserved`` bookings
-        to them; bumps the floorplan revision."""
-        index = _yx(cells)
+        """The one writer of the free-space planes: set the cells at
+        ``index`` ((rows, cols) arrays) occupied or free, and/or add
+        ``reserved`` bookings to them; bumps the floorplan revision."""
         if occupied is not None:
             self._occupancy[index] = occupied
         if reserved:
@@ -912,7 +904,7 @@ class RuntimePlacementManager:
         queued: bool,
     ) -> None:
         self._placements[placement.module.name] = placement
-        self._mark(placement.absolute_cells(), occupied=True)
+        self._mark(placement.yx(), occupied=True)
         heapq.heappush(
             self._departures,
             (self.clock + request.lifetime, placement.module.name),
@@ -1004,7 +996,7 @@ class RuntimePlacementManager:
                 start, request.lifetime, dep_of
             )
             fit = BottomLeftPlacer().place(
-                NarrowedRegion(self.region, np.argwhere(future)),
+                NarrowedRegion(self.region, future),
                 [module],
                 cache=self._cache,
             )
@@ -1020,7 +1012,7 @@ class RuntimePlacementManager:
             )
             self._reservations.append(reservation)
             self._reservations.sort(key=lambda r: r.start)
-            self._mark(reservation.placement.absolute_cells(), reserved=1)
+            self._mark(reservation.placement.yx(), reserved=1)
             outcome.status = "reserved"
             self.stats.reservations_booked += 1
             self._emit(
@@ -1051,7 +1043,7 @@ class RuntimePlacementManager:
         ]
         occ = np.zeros_like(self._occupancy)
         for p in held:
-            occ[_yx(p.absolute_cells())] = True
+            occ[p.yx()] = True
         if self._active_move is not None:
             occ[_yx(self._active_move.move.window_cells)] = True
         return occ
@@ -1078,12 +1070,12 @@ class RuntimePlacementManager:
 
     def _release(self, r: Reservation) -> None:
         self._reservations.remove(r)
-        self._mark(r.placement.absolute_cells(), reserved=-1)
+        self._mark(r.placement.yx(), reserved=-1)
 
     def _commit_reservation(self, r: Reservation) -> bool:
         """One commit attempt; True when the request landed (either on
         its planned cells or replanned on the current floorplan)."""
-        if not self._occupancy[_yx(r.placement.absolute_cells())].any():
+        if not self._occupancy[r.placement.yx()].any():
             self._commit(
                 r.request, r.outcome, r.placement, "reservation", queued=False
             )
@@ -1221,12 +1213,12 @@ class RuntimePlacementManager:
             )
             if plan.instant:
                 for p in self._placements.values():
-                    self._mark(p.absolute_cells(), occupied=False)
+                    self._mark(p.yx(), occupied=False)
                 self._placements = {
                     p.module.name: p for p in plan.result.placements
                 }
                 for p in self._placements.values():
-                    self._mark(p.absolute_cells(), occupied=True)
+                    self._mark(p.yx(), occupied=True)
                 self.stats.defrag_moves += len(plan.moves)
                 self.stats.defrag_executed_moves += len(plan.moves)
                 self._retry_pending()
@@ -1262,11 +1254,9 @@ class RuntimePlacementManager:
             or (p.x, p.y) != move.from_pos
         ):
             return False
-        own = {(x, y) for x, y, _ in p.absolute_cells()}
-        return all(
-            (x, y) in own or not self._occupancy[y, x]
-            for x, y in move.window_cells
-        )
+        others = self._occupancy.copy()
+        others[p.yx()] = False
+        return not others[_yx(move.window_cells)].any()
 
     def _start_next_move(self) -> None:
         """Pop queued moves until one validates and holds its window."""
@@ -1276,7 +1266,7 @@ class RuntimePlacementManager:
                 self._active_move = _ActiveMove(
                     move, ends=self.clock + self._move_duration(move)
                 )
-                self._mark(move.window_cells, occupied=True)
+                self._mark(_yx(move.window_cells), occupied=True)
                 self._emit(
                     RUNTIME_DEFRAG_STEP,
                     module=move.module,
@@ -1302,11 +1292,11 @@ class RuntimePlacementManager:
         active = self._active_move
         self._active_move = None
         move = active.move
-        self._mark(move.window_cells, occupied=False)
+        self._mark(_yx(move.window_cells), occupied=False)
         p = self._placements[move.module]
         new_p = Placement(p.module, move.to_shape, *move.to_pos)
         self._placements[move.module] = new_p
-        self._mark(new_p.absolute_cells(), occupied=True)
+        self._mark(new_p.yx(), occupied=True)
         self.stats.defrag_moves += 1
         self.stats.defrag_executed_moves += 1
         self._emit(
@@ -1328,7 +1318,7 @@ class RuntimePlacementManager:
         active = self._active_move
         if active is not None and active.move.module == name:
             self._active_move = None
-            self._mark(active.move.window_cells, occupied=False)
+            self._mark(_yx(active.move.window_cells), occupied=False)
             self.stats.defrag_aborted_moves += 1
             self._emit(
                 RUNTIME_DEFRAG_STEP,
@@ -1340,7 +1330,7 @@ class RuntimePlacementManager:
             )
             self._start_next_move()
         else:
-            self._mark(placement.absolute_cells(), occupied=False)
+            self._mark(placement.yx(), occupied=False)
 
     def check_invariants(self) -> None:
         """Verify the live floorplan, including any in-flight window.
@@ -1382,7 +1372,7 @@ class RuntimePlacementManager:
             )
         booked = np.zeros_like(self._reserved)
         for r in self._reservations:
-            booked[_yx(r.placement.absolute_cells())] += 1
+            booked[r.placement.yx()] += 1
         if not np.array_equal(booked, self._reserved):
             raise ValueError("reservation counts out of sync with bookings")
 

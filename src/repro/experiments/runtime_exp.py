@@ -105,7 +105,7 @@ def serve_trace(
     config: Optional[RuntimeConfig] = None,
 ) -> RuntimeRow:
     """One serving run; returns the summary row."""
-    cfg = config or RuntimeConfig(probe="greedy")
+    cfg = config or RuntimeConfig(chain=("greedy",))
     cfg.with_alternatives = with_alternatives
     manager = RuntimePlacementManager(region, cfg)
     log: RuntimeLog = manager.run(trace)
@@ -141,7 +141,7 @@ def runtime_comparison(
                 with_alts,
                 label,
                 RuntimeConfig(
-                    probe="greedy", allow_shape_change=allow_shape_change
+                    chain=("greedy",), allow_shape_change=allow_shape_change
                 ),
             )
         )
@@ -188,13 +188,13 @@ def defrag_strategy_config(strategy: str) -> RuntimeConfig:
     """
     if strategy == "disabled":
         return RuntimeConfig(
-            probe="greedy",
+            chain=("greedy",),
             defrag_on_reject=False,
             frag_threshold=1.0,
             sample_timeline=False,
         )
     return RuntimeConfig(
-        probe="greedy",
+        chain=("greedy",),
         defragmenter=strategy,
         verify_moves=(strategy == "no-break"),
         sample_timeline=False,
@@ -332,7 +332,7 @@ def reservation_admission_config(horizon: int) -> RuntimeConfig:
     runs so the comparison isolates the reservation mechanism from
     queueing — every non-fitting request either books or rejects."""
     return RuntimeConfig(
-        probe="greedy",
+        chain=("greedy",),
         queue_capacity=0,
         reservation_horizon=horizon,
         frag_threshold=1.0,

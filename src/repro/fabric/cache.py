@@ -19,6 +19,10 @@ et al.), so this module memoizes it:
   pure content hashes, so two structurally identical regions (e.g. the
   same shard geometry cut at two offsets) share entries and the region's
   *name* never matters.
+* :meth:`AnchorMaskCache.anchor_masks` is the lookup: every footprint a
+  caller needs on one region in one call, so the region is hashed once
+  per call rather than once per footprint;
+  :meth:`~AnchorMaskCache.anchor_mask` is its one-footprint form.
 
 A residual — a base region minus blocked cells — is always a
 :class:`~repro.fabric.region.NarrowedRegion`, and the cache answers it
@@ -37,7 +41,9 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple,
+)
 
 import numpy as np
 
@@ -127,11 +133,13 @@ class AnchorMaskCache:
     def region_key(self, region: PartialRegion) -> RegionKey:
         return region_fingerprint(region)
 
-    def compat(
-        self, region: PartialRegion, region_key: Optional[RegionKey] = None
-    ) -> Dict[ResourceType, np.ndarray]:
+    def compat(self, region: PartialRegion) -> Dict[ResourceType, np.ndarray]:
         """Cached :func:`compatibility_masks` of one region."""
-        key = region_key if region_key is not None else self.region_key(region)
+        return self._compat_of(region, self.region_key(region))
+
+    def _compat_of(
+        self, region: PartialRegion, key: RegionKey
+    ) -> Dict[ResourceType, np.ndarray]:
         found = self._compat.get(key)
         if found is None:
             found = compatibility_masks(region)
@@ -144,35 +152,41 @@ class AnchorMaskCache:
             self._compat.move_to_end(key)
         return found
 
-    def anchor_mask(
-        self,
-        region: PartialRegion,
-        footprint: "Footprint",
-        region_key: Optional[RegionKey] = None,
-    ) -> np.ndarray:
-        """Cached ``valid_anchor_mask`` for one (region, footprint) pair.
+    def anchor_masks(
+        self, region: PartialRegion, footprints: Iterable["Footprint"]
+    ) -> List[np.ndarray]:
+        """Cached ``valid_anchor_mask`` of each footprint on one region.
 
-        A :class:`~repro.fabric.region.NarrowedRegion` is answered from
-        its base region's entry — counted as that entry's hit or miss —
-        narrowed by the blocked cells and counted once under
-        ``narrowed``; nothing is stored for the narrowed region itself.
-        ``region_key`` is a precomputed :meth:`region_key` of ``region``
-        (a narrowed lookup keys on its base and does not use it).
+        The region is hashed once per call.  A
+        :class:`~repro.fabric.region.NarrowedRegion` is hashed on its
+        base region, whose entry answers each lookup — counted as that
+        entry's hit or miss — narrowed by the blocked plane and counted
+        once per footprint under ``narrowed``; nothing is stored for the
+        narrowed region itself.
 
-        Returns a read-only (H, W) boolean array; copy before mutating.
+        Returns read-only (H, W) boolean arrays in ``footprints`` order;
+        copy before mutating.
         """
-        if isinstance(region, NarrowedRegion):
-            base = self._base_mask(
-                region.base, footprint, self.region_key(region.base)
-            )
-            self.narrowed += 1
-            mask = narrowed_anchor_mask(
-                base, region.blocked_bits, footprint.cells
-            )
-            mask.setflags(write=False)
-            return mask
-        key = region_key if region_key is not None else self.region_key(region)
-        return self._base_mask(region, footprint, key)
+        narrowed = isinstance(region, NarrowedRegion)
+        base = region.base if narrowed else region
+        key = self.region_key(base)
+        masks = []
+        for footprint in footprints:
+            mask = self._base_mask(base, footprint, key)
+            if narrowed:
+                self.narrowed += 1
+                mask = narrowed_anchor_mask(
+                    mask, region.blocked_bits, footprint.cells
+                )
+                mask.setflags(write=False)
+            masks.append(mask)
+        return masks
+
+    def anchor_mask(
+        self, region: PartialRegion, footprint: "Footprint"
+    ) -> np.ndarray:
+        """One footprint's :meth:`anchor_masks` entry."""
+        return self.anchor_masks(region, (footprint,))[0]
 
     def _base_mask(
         self, region: PartialRegion, footprint: "Footprint", key: RegionKey
@@ -186,7 +200,7 @@ class AnchorMaskCache:
             return mask
         self.misses += 1
         mask = valid_anchor_mask(
-            region, sorted(footprint.cells), self.compat(region, key)
+            region, sorted(footprint.cells), self._compat_of(region, key)
         )
         mask.setflags(write=False)
         self._masks[entry] = mask
@@ -231,13 +245,9 @@ class AnchorMaskCache:
         lookup on that region, and on every residual narrowed from it, a
         hit — including the very first.
         """
-        key = self.region_key(region)
-        n = 0
-        for module in modules:
-            for fp in module.shapes:
-                self.anchor_mask(region, fp, region_key=key)
-                n += 1
-        return n
+        shapes = [fp for module in modules for fp in module.shapes]
+        self.anchor_masks(region, shapes)
+        return len(shapes)
 
     # ------------------------------------------------------------------
     # Accounting

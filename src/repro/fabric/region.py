@@ -147,7 +147,7 @@ class PartialRegion:
 
 
 class NarrowedRegion(PartialRegion):
-    """A base region minus a set of blocked cells, remembering its lineage.
+    """A base region minus a plane of blocked cells, remembering its lineage.
 
     Every residual is one of these (LNS subproblems, the runtime
     manager's free space, the defrag probe).  It behaves exactly like a
@@ -155,34 +155,31 @@ class NarrowedRegion(PartialRegion):
     region it narrows and *which* cells were blocked; an
     :class:`~repro.fabric.cache.AnchorMaskCache` uses that lineage to
     answer a lookup from the cached base-region mask instead of
-    computing (and storing) one for the carved-up fabric.  Narrowing a
-    narrowed region narrows its root base by both blocked sets.
+    computing (and storing) one for the carved-up fabric.  ``blocked``
+    is an (H, W) boolean plane of the base's shape (copied); narrowing a
+    narrowed region narrows its root base by the OR of both planes.
     """
 
     def __init__(
-        self, base: PartialRegion, blocked_yx: np.ndarray, name: str = ""
+        self, base: PartialRegion, blocked: np.ndarray, name: str = ""
     ) -> None:
-        blocked_yx = np.asarray(blocked_yx, dtype=np.int64).reshape(-1, 2)
+        blocked = np.array(blocked, dtype=bool)
+        if blocked.shape != (base.height, base.width):
+            raise ValueError(
+                f"blocked plane shape {blocked.shape} != base region "
+                f"{(base.height, base.width)}"
+            )
         if isinstance(base, NarrowedRegion):
-            blocked_yx = np.concatenate([base.blocked_yx, blocked_yx])
+            blocked |= base.blocked
             base = base.base
-        blocked = np.zeros((base.height, base.width), dtype=bool)
-        if blocked_yx.size:
-            if (
-                blocked_yx.min() < 0
-                or blocked_yx[:, 0].max() >= base.height
-                or blocked_yx[:, 1].max() >= base.width
-            ):
-                raise ValueError("blocked cells outside the base region")
-            blocked[blocked_yx[:, 0], blocked_yx[:, 1]] = True
         super().__init__(
             base.grid, base.reconfigurable & ~blocked,
             name or f"{base.name}-narrowed",
         )
         #: the region this one was carved from
         self.base = base
-        #: (n, 2) array of blocked (y, x) cells
-        self.blocked_yx = blocked_yx
+        #: (H, W) boolean plane of the blocked cells
+        self.blocked = blocked
         #: the blocked plane as :func:`pack_bits`, the operand of
         #: :func:`~repro.fabric.masks.narrowed_anchor_mask`
         self.blocked_bits = pack_bits(blocked)

@@ -102,12 +102,7 @@ class _Item:
         self.t = t
         self.duration = duration
         #: per-shape (n, 2) arrays of (dy, dx) cell offsets
-        self.cells: List[np.ndarray] = [
-            np.array(
-                [(dy, dx) for dx, dy, _ in sorted(fp.cells)], dtype=np.int64
-            )
-            for fp in module.shapes
-        ]
+        self.cells: List[np.ndarray] = [fp.offsets() for fp in module.shapes]
         self.placed = False
 
     def is_fixed(self) -> bool:
@@ -223,15 +218,14 @@ class PlacementKernel(Propagator):
         # from its base region's memoized masks), or a fresh
         # cross-correlation
         snap = cache.snapshot() if cache is not None else None
+        shapes = [fp for item in self.items for fp in item.module.shapes]
         if cache is not None:
-            key = cache.region_key(region)
-            mask_of = lambda fp: cache.anchor_mask(  # noqa: E731
-                region, fp, region_key=key
-            )
+            masks = iter(cache.anchor_masks(region, shapes))
         else:
             compat = compatibility_masks(region)
-            mask_of = lambda fp: valid_anchor_mask(  # noqa: E731
-                region, sorted(fp.cells), compat
+            masks = (
+                valid_anchor_mask(region, sorted(fp.cells), compat)
+                for fp in shapes
             )
         # anchor masks live in one contiguous "bank" (one row per shape of
         # every item) so the non-overlap narrowing after an imprint is one
@@ -245,8 +239,8 @@ class PlacementKernel(Propagator):
         for item in self.items:
             row_ids = []
             start = offset_cursor
-            for sid, fp in enumerate(item.module.shapes):
-                mask = mask_of(fp)
+            for sid in range(len(item.module.shapes)):
+                mask = next(masks)
                 row_ids.append(len(rows))
                 rows.append(mask.reshape(-1))
                 off_chunks.append(item.cells[sid])

@@ -26,7 +26,7 @@ Cell = Tuple[int, int, ResourceType]
 class Footprint:
     """An immutable, normalized shape."""
 
-    __slots__ = ("cells", "width", "height", "_grid")
+    __slots__ = ("cells", "width", "height", "_grid", "_offsets")
 
     def __init__(self, cells: Iterable[Cell]) -> None:
         raw = list(cells)
@@ -53,6 +53,7 @@ class Footprint:
             self, "height", max(c[1] for c in normalized) + 1
         )
         object.__setattr__(self, "_grid", None)
+        object.__setattr__(self, "_offsets", None)
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("Footprint is immutable")
@@ -129,9 +130,19 @@ class Footprint:
         return self.grid() >= 0
 
     def offsets(self) -> np.ndarray:
-        """(n, 2) array of (dy, dx) used-cell offsets, for fast imprinting."""
-        ys, xs = np.nonzero(self.occupancy())
-        return np.stack([ys, xs], axis=1)
+        """(n, 2) read-only int64 array of (dy, dx) used-cell offsets.
+
+        The one footprint raster rule: every occupancy plane, anchor
+        gather and mask-bank imprint indexes through this table (anchored
+        at ``(x, y)`` the cells are ``(y + dy, x + dx)``).  Computed once,
+        row-major, and shared — the footprint is immutable.
+        """
+        if self._offsets is None:
+            ys, xs = np.nonzero(self.occupancy())
+            off = np.stack([ys, xs], axis=1).astype(np.int64)
+            off.setflags(write=False)
+            object.__setattr__(self, "_offsets", off)
+        return self._offsets
 
     def is_rectangular(self) -> bool:
         return self.area == self.bbox_area

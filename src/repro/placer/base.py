@@ -26,7 +26,6 @@ from repro.core.result import Placement, PlacementResult
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.masks import compatibility_masks, valid_anchor_mask
 from repro.fabric.region import PartialRegion
-from repro.modules.footprint import Footprint
 from repro.modules.module import Module
 
 
@@ -48,28 +47,21 @@ class _State:
         #: static anchors per (module index, shape index); served from the
         #: shared cache when one is handed in (the masks are read-only
         #: views then — ``anchors`` never mutates them)
+        shapes = [fp for m in self.modules for fp in m.shapes]
         if cache is not None:
-            key = cache.region_key(region)
-            self.static: List[List[np.ndarray]] = [
-                [cache.anchor_mask(region, fp, region_key=key) for fp in m.shapes]
-                for m in self.modules
-            ]
+            masks = iter(cache.anchor_masks(region, shapes))
         else:
             compat = compatibility_masks(region)
-            self.static = [
-                [
-                    valid_anchor_mask(region, sorted(fp.cells), compat)
-                    for fp in m.shapes
-                ]
-                for m in self.modules
-            ]
+            masks = (
+                valid_anchor_mask(region, sorted(fp.cells), compat)
+                for fp in shapes
+            )
+        self.static: List[List[np.ndarray]] = [
+            [next(masks) for _ in m.shapes] for m in self.modules
+        ]
         #: per (module, shape) cell offset arrays (dy, dx)
         self.offsets: List[List[np.ndarray]] = [
-            [
-                np.array([(dy, dx) for dx, dy, _ in sorted(fp.cells)], dtype=np.int64)
-                for fp in m.shapes
-            ]
-            for m in self.modules
+            [fp.offsets() for fp in m.shapes] for m in self.modules
         ]
         self.placements: List[Placement] = []
         #: seeded RNG for stochastic placers (annealing); deterministic per
@@ -99,9 +91,9 @@ class _State:
         return out
 
     def commit(self, mi: int, si: int, x: int, y: int) -> None:
-        off = self.offsets[mi][si]
-        self.occupancy[y + off[:, 0], x + off[:, 1]] = True
-        self.placements.append(Placement(self.modules[mi], si, x, y))
+        placement = Placement(self.modules[mi], si, x, y)
+        self.occupancy[placement.yx()] = True
+        self.placements.append(placement)
 
     def reset(self) -> None:
         """Clear occupancy and placements (decode loops re-place from zero)."""

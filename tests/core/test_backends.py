@@ -32,7 +32,6 @@ from repro.core.runtime import (
     RuntimeConfig,
     RuntimePlacementManager,
     RuntimeRequest,
-    generate_workload,
 )
 from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.devices import homogeneous_device, irregular_device
@@ -254,26 +253,6 @@ class TestBackendObservability:
 # Declarative orchestration wiring
 # ----------------------------------------------------------------------
 class TestRuntimeChainConfig:
-    def _workload(self):
-        return generate_workload(
-            16, seed=3, mean_lifetime=8,
-            generator_config=GeneratorConfig(
-                clb_min=4, clb_max=10, bram_max=0, height_min=2, height_max=2
-            ),
-        )
-
-    def test_default_chain_reproduces_probe_greedy(self):
-        region = PartialRegion.whole_device(homogeneous_device(10, 2))
-        by_probe = RuntimePlacementManager(
-            region, RuntimeConfig(probe="greedy")
-        ).run(self._workload())
-        by_chain = RuntimePlacementManager(
-            region, RuntimeConfig(chain=("greedy",))
-        ).run(self._workload())
-        assert [
-            (o.status, o.method, o.placement) for o in by_probe.outcomes
-        ] == [(o.status, o.method, o.placement) for o in by_chain.outcomes]
-
     def test_custom_chain_method_labels_are_backend_names(self):
         region = PartialRegion.whole_device(homogeneous_device(10, 2))
         mgr = RuntimePlacementManager(

@@ -3,9 +3,14 @@
 Random fragmented states are generated end-to-end (random fabric, random
 modules, placed and randomly evicted); the defragmenter must always
 return a *valid* placement whose extent never grew, whatever it does.
+``TestGoldenPlans`` additionally pins the exact move sequences both
+engines plan on 30 seeded floorplans.
 """
 
 from __future__ import annotations
+
+import hashlib
+import random
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,12 +18,14 @@ from hypothesis import strategies as st
 
 from repro.core.defrag import (
     NoBreakDefragmenter,
+    create_defragmenter,
     defragment,
     plan_states,
 )
 from repro.core.placer import CPPlacer, PlacerConfig
 from repro.core.relocation import relocation_sites
 from repro.core.result import Placement, PlacementResult
+from repro.fabric.cache import AnchorMaskCache
 from repro.fabric.devices import irregular_device
 from repro.fabric.grid import FabricGrid
 from repro.fabric.region import PartialRegion
@@ -26,6 +33,7 @@ from repro.fabric.resource import ResourceType
 from repro.modules.footprint import Footprint
 from repro.modules.generator import GeneratorConfig, ModuleGenerator
 from repro.modules.module import Module
+from repro.placer.greedy import BottomLeftPlacer
 
 
 def fragmented_state(seed: int, evict_mask: int):
@@ -186,3 +194,69 @@ class TestDefragProperties:
             moved = Placement(p.module, site.shape_index, site.x, site.y)
             others = [q for q in state.placements if q is not p]
             PlacementResult(state.region, others + [moved]).verify()
+
+
+def golden_floorplan(seed: int) -> PlacementResult:
+    """A deterministic fragmented floorplan: a bottom-left packing of a
+    seeded module set on a seeded irregular fabric, with ~40% of the
+    modules evicted."""
+    rng = random.Random(seed)
+    region = PartialRegion.whole_device(
+        irregular_device(rng.choice([20, 24, 30]), rng.choice([6, 8]),
+                         seed=seed, bram_stride=6, jitter=1)
+    )
+    cfg = GeneratorConfig(clb_min=3, clb_max=10, bram_max=1,
+                          height_min=1, height_max=3, max_width=4)
+    modules = ModuleGenerator(seed=seed, config=cfg).generate_set(
+        rng.randint(6, 10)
+    )
+    placed = BottomLeftPlacer().place(region, modules).placements
+    return PlacementResult(region, [p for p in placed if rng.random() < 0.6])
+
+
+def _plan_records(cache):
+    records = []
+    for seed in range(30):
+        state = golden_floorplan(seed)
+        for name in ("greedy-compaction", "no-break"):
+            for allow in (False, True):
+                plan = create_defragmenter(name).plan(
+                    state, allow_shape_change=allow, cache=cache
+                )
+                moves = [
+                    (m.module, m.kind, m.from_shape, m.from_pos, m.to_shape,
+                     m.to_pos, m.frames, m.window_cells)
+                    for m in plan.moves
+                ]
+                final = [
+                    (p.module.name, p.shape_index, p.x, p.y)
+                    for p in plan.result.placements
+                ]
+                records.append((
+                    seed, name, allow, (
+                        moves, final, plan.initial_extent, plan.final_extent
+                    ),
+                ))
+    return records
+
+
+class TestGoldenPlans:
+    """Exact plans of both engines, captured before the two compaction
+    loops were merged into one: any reordering of probes, candidates or
+    move rules changes the digest."""
+
+    #: sha256 of ``repr`` of the 120 uncached plan records
+    DIGEST = (
+        "dcde0b93492110afd5b7037a7d8aec7e92500a35768cba806d7430bab0127ece"
+    )
+
+    def test_plans_match_the_golden_digest_with_and_without_a_cache(self):
+        plain = _plan_records(None)
+        assert _plan_records(AnchorMaskCache()) == plain
+        assert hashlib.sha256(repr(plain).encode()).hexdigest() == self.DIGEST
+        # the pin is not vacuous: most plans move, every move kind and
+        # shape changes occur
+        moves = [m for *_, (ms, _, _, _) in plain for m in ms]
+        assert sum(1 for *_, (ms, _, _, _) in plain if ms) >= 100
+        assert {m[1] for m in moves} == {"instant", "slide", "copy"}
+        assert any(m[2] != m[4] for m in moves)

@@ -101,7 +101,7 @@ def _fingerprint(payload) -> str:
 class TestHorizonZeroBitIdentity:
     def test_manager_replay_matches_golden(self):
         mgr = RuntimePlacementManager(
-            default_runtime_region(), RuntimeConfig(probe="greedy")
+            default_runtime_region(), RuntimeConfig(chain=("greedy",))
         )
         log = mgr.run(default_runtime_trace(60, seed=7))
         payload = {
@@ -124,7 +124,7 @@ class TestHorizonZeroBitIdentity:
             shards,
             ServiceConfig(
                 router=router,
-                runtime=RuntimeConfig(probe="greedy", sample_timeline=False),
+                runtime=RuntimeConfig(chain=("greedy",), sample_timeline=False),
             ),
         )
         slog = svc.run(default_runtime_trace(60, seed=7))
@@ -212,7 +212,7 @@ def req(name, arrival, lifetime, deadline=None, w=2, h=2):
 
 
 def resv_config(**kw):
-    kw.setdefault("probe", "greedy")
+    kw.setdefault("chain", ("greedy",))
     kw.setdefault("queue_capacity", 0)
     kw.setdefault("reservation_horizon", 10)
     kw.setdefault("frag_threshold", 1.0)

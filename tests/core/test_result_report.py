@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.report import placement_report, render_placement, side_by_side
@@ -11,7 +12,9 @@ from repro.fabric.grid import FabricGrid
 from repro.fabric.region import PartialRegion
 from repro.fabric.resource import ResourceType
 from repro.modules.footprint import Footprint
+from repro.modules.generator import GeneratorConfig, ModuleGenerator
 from repro.modules.module import Module
+from repro.placer.greedy import BottomLeftPlacer
 
 
 def region_4x2():
@@ -80,6 +83,26 @@ class TestVerification:
         mask = r.occupancy_mask()
         assert mask[1, 1] and mask[1, 2]
         assert mask.sum() == 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_occupancy_mask_matches_per_cell_raster(self, seed):
+        """The one-fancy-index-per-placement raster equals the per-cell
+        loop over ``absolute_cells`` on irregular multi-shape modules."""
+        region = PartialRegion.whole_device(irregular_device(30, 8, seed=seed))
+        cfg = GeneratorConfig(clb_min=4, clb_max=12, bram_max=1,
+                              height_min=2, height_max=3, max_width=4)
+        modules = ModuleGenerator(seed=seed, config=cfg).generate_set(5)
+        placed = BottomLeftPlacer().place(region, modules).placements
+        assert len(placed) >= 3
+        want = np.zeros((region.height, region.width), dtype=bool)
+        for p in placed:
+            for x, y, _ in p.absolute_cells():
+                want[y, x] = True
+            ys, xs = p.yx()
+            assert sorted(zip(xs.tolist(), ys.tolist())) == sorted(
+                (x, y) for x, y, _ in p.absolute_cells()
+            )
+        assert np.array_equal(PlacementResult(region, placed).occupancy_mask(), want)
 
 
 class TestReporting:

@@ -43,7 +43,7 @@ def req(module: Module, arrival: int, lifetime: int = 100, deadline=None):
 
 
 def greedy_cfg(**kw) -> RuntimeConfig:
-    return RuntimeConfig(probe="greedy", **kw)
+    return RuntimeConfig(chain=("greedy",), **kw)
 
 
 class TestAdmissionBasics:
@@ -269,7 +269,7 @@ class TestCrashInjection:
                 raise RuntimeError("injected solver crash")
 
         monkeypatch.setattr(adapters, "CPPlacer", Boom)
-        mgr = RuntimePlacementManager(region_w(6), RuntimeConfig(probe="cp"))
+        mgr = RuntimePlacementManager(region_w(6), RuntimeConfig())
         out = mgr.submit(req(rect("a", 2), 1))
         assert out.admitted and out.method == "greedy"
         assert out.errors and "injected" in out.errors[0]
@@ -293,7 +293,7 @@ class TestCrashInjection:
             adapters.BaselineBackend, "_solve", greedy_boom
         )
         mgr = RuntimePlacementManager(
-            region_w(6), RuntimeConfig(probe="cp", queue_capacity=0)
+            region_w(6), RuntimeConfig(queue_capacity=0)
         )
         out = mgr.submit(req(rect("a", 2), 1))
         assert out.status == "rejected"
@@ -426,8 +426,6 @@ class TestWorkloadGenerator:
             generate_workload(-1)
         with pytest.raises(ValueError):
             RuntimeRequest(rect("x", 1), arrival=0, lifetime=0)
-        with pytest.raises(ValueError):
-            RuntimeConfig(probe="quantum").validate()
 
 
 class TestAlternativesServeMore:

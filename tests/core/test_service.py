@@ -57,7 +57,7 @@ def req(module: Module, arrival: int, lifetime: int = 100, deadline=None):
 
 def greedy_service_cfg(**kw) -> ServiceConfig:
     runtime_kw = kw.pop("runtime_kw", {})
-    runtime_kw.setdefault("probe", "greedy")
+    runtime_kw.setdefault("chain", ("greedy",))
     runtime_kw.setdefault("frag_threshold", 1.0)
     runtime_kw.setdefault("sample_timeline", False)
     return ServiceConfig(runtime=RuntimeConfig(**runtime_kw), **kw)
@@ -117,7 +117,7 @@ class TestRouterPolicies:
         return [
             RuntimePlacementManager(
                 region_w(width, name=f"s{k}"),
-                RuntimeConfig(probe="greedy", frag_threshold=1.0),
+                RuntimeConfig(chain=("greedy",), frag_threshold=1.0),
             )
             for k in range(n)
         ]
@@ -236,7 +236,7 @@ class TestSpill:
             [region_w(2, name="s0"), region_w(2, name="s1")],
             greedy_service_cfg(
                 router="round-robin", tracer=tracer,
-                runtime_kw={"probe": "greedy", "frag_threshold": 1.0,
+                runtime_kw={"chain": ("greedy",), "frag_threshold": 1.0,
                             "queue_capacity": 4},
             ),
         )
@@ -255,7 +255,7 @@ class TestSpill:
             [region_w(2, name="s0"), region_w(4, name="s1")],
             greedy_service_cfg(
                 router="round-robin", spill=False,
-                runtime_kw={"probe": "greedy", "frag_threshold": 1.0,
+                runtime_kw={"chain": ("greedy",), "frag_threshold": 1.0,
                             "queue_capacity": 4},
             ),
         )
@@ -291,7 +291,7 @@ class TestDeterminism:
         trace = self._table1_trace()
         bare = RuntimePlacementManager(
             default_fabric(60, 12),
-            RuntimeConfig(probe="greedy", frag_threshold=1.0,
+            RuntimeConfig(chain=("greedy",), frag_threshold=1.0,
                           sample_timeline=False),
         )
         bare_log = bare.run(trace)

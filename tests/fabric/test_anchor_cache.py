@@ -44,8 +44,16 @@ def build_kernel(region, modules, cache=None):
     return PlacementKernel(region, modules, xs, ys, ss, cache=cache)
 
 
+def plane(region, yx):
+    """The blocked plane of ``region`` with the (y, x) cells ``yx`` set."""
+    yx = np.asarray(yx, dtype=np.int64).reshape(-1, 2)
+    out = np.zeros((region.height, region.width), dtype=bool)
+    out[yx[:, 0], yx[:, 1]] = True
+    return out
+
+
 def random_instance(seed: int):
-    """One differential instance: (region, modules, blocked frozen cells).
+    """One differential instance: (region, modules, blocked plane)
 
     The frozen set mimics what the LNS driver freezes: a batch of cells
     inside the allowed area (drawn at random, which is strictly more
@@ -67,8 +75,7 @@ def random_instance(seed: int):
     allowed = np.argwhere(region.allowed_mask())
     n_blocked = rng.randint(0, min(60, len(allowed)))
     idx = rng.sample(range(len(allowed)), n_blocked)
-    blocked = allowed[idx].astype(np.int64).reshape(-1, 2)
-    return region, modules, blocked
+    return region, modules, plane(region, allowed[idx])
 
 
 class TestKeys:
@@ -198,7 +205,7 @@ def _blocked_sets(region, rng):
     cell may be blocked, reconfigurable or not)."""
     H, W = region.height, region.width
     every = np.argwhere(np.ones((H, W), dtype=bool)).astype(np.int64)
-    return {
+    sets = {
         "empty": np.empty((0, 2), dtype=np.int64),
         "right-edge-column": every[every[:, 1] == W - 1],
         "top-row": every[every[:, 0] == H - 1],
@@ -209,6 +216,7 @@ def _blocked_sets(region, rng):
         "random-sparse": every[rng.sample(range(len(every)), H * W // 10)],
         "random-dense": every[rng.sample(range(len(every)), H * W // 2)],
     }
+    return {name: plane(region, yx) for name, yx in sets.items()}
 
 
 def _random_footprints(rng, seed):
@@ -256,8 +264,8 @@ class TestNarrowedLookups:
 
     def test_nested_narrowing_keeps_one_lineage_level(self):
         base = PartialRegion.whole_device(irregular_device(16, 8, seed=4))
-        inner = NarrowedRegion(base, np.array([[0, 0], [2, 3]]))
-        outer = NarrowedRegion(inner, np.array([[5, 7]]))
+        inner = NarrowedRegion(base, plane(base, [[0, 0], [2, 3]]))
+        outer = NarrowedRegion(inner, plane(base, [[5, 7]]))
         assert outer.base is base
         assert not outer.reconfigurable[[0, 2, 5], [0, 3, 7]].any()
         fp = Footprint.rectangle(2, 2)
@@ -270,8 +278,8 @@ class TestNarrowedLookups:
         base = PartialRegion.whole_device(irregular_device(16, 8, seed=2))
         fp = Footprint.rectangle(3, 2)
         cache = AnchorMaskCache()
-        a = NarrowedRegion(base, np.array([[1, 1]]))
-        b = NarrowedRegion(base, np.array([[4, 9], [7, 15]]))
+        a = NarrowedRegion(base, plane(base, [[1, 1]]))
+        b = NarrowedRegion(base, plane(base, [[4, 9], [7, 15]]))
         cache.anchor_mask(a, fp)  # cold: the base entry misses
         assert cache.stats() == {
             "hits": 0, "misses": 1, "narrowed": 1, "evictions": 0,
@@ -362,7 +370,7 @@ class TestLRUCapacity:
 class TestNarrowedRegion:
     def test_blocks_cells_and_keeps_lineage(self):
         region = PartialRegion.whole_device(irregular_device(16, 8, seed=1))
-        blocked = np.array([[0, 0], [3, 5]], dtype=np.int64)
+        blocked = plane(region, [[0, 0], [3, 5]])
         sub = NarrowedRegion(region, blocked, "sub")
         assert not sub.reconfigurable[0, 0] and not sub.reconfigurable[3, 5]
         assert sub.base is region
@@ -370,13 +378,13 @@ class TestNarrowedRegion:
 
     def test_empty_block_set_is_identity(self):
         region = PartialRegion.whole_device(irregular_device(16, 8, seed=1))
-        sub = NarrowedRegion(region, np.empty((0, 2), dtype=np.int64))
+        sub = NarrowedRegion(region, plane(region, []))
         assert np.array_equal(sub.reconfigurable, region.reconfigurable)
         assert sub.name == f"{region.name}-narrowed"
 
     def test_out_of_bounds_blocks_rejected(self):
         region = PartialRegion.whole_device(irregular_device(16, 8, seed=1))
         with pytest.raises(ValueError):
-            NarrowedRegion(region, np.array([[8, 0]]))  # y == height
+            NarrowedRegion(region, np.zeros((9, 16), dtype=bool))  # H + 1
         with pytest.raises(ValueError):
-            NarrowedRegion(region, np.array([[0, -1]]))
+            NarrowedRegion(region, np.zeros((8, 15), dtype=bool))  # W - 1

@@ -89,6 +89,18 @@ class TestGeometry:
         assert sorted(map(tuple, offsets.tolist())) == [[0, 0], [1, 1]] or \
             sorted(map(tuple, offsets.tolist())) == [(0, 0), (1, 1)]
 
+    @given(cells_strategy)
+    def test_offsets_are_the_cell_table_cached_and_read_only(self, cells):
+        fp = Footprint(cells)
+        offsets = fp.offsets()
+        assert sorted(map(tuple, offsets.tolist())) == sorted(
+            (dy, dx) for dx, dy, _ in fp.cells
+        )
+        assert offsets.dtype == np.int64
+        assert fp.offsets() is offsets
+        with pytest.raises(ValueError):
+            offsets[0, 0] = 1
+
     def test_cells_of(self):
         fp = Footprint([(0, 0, ResourceType.CLB), (1, 0, ResourceType.BRAM)])
         assert fp.cells_of(ResourceType.BRAM) == {(1, 0)}
